@@ -44,11 +44,12 @@ REPO_ROOT = BENCH_DIR.parent
 DEFAULT_BASELINE = BENCH_DIR / "baseline.json"
 HISTORY_DIR = BENCH_DIR / "trajectory"
 
-#: Substring of the benchmark used as the machine-speed probe: trace
-#: construction is pure Python + numpy with no solver, so its
-#: fresh/baseline ratio approximates how much faster or slower this
-#: machine is than the one that recorded the baseline.
-CALIBRATION_PROBE = "test_trace_construction_speed"
+#: Substring of the benchmark used as the machine-speed probe: a fixed
+#: pure-Python + numpy kernel that imports nothing from ``repro``
+#: (``test_bench_calibration.py``), so its fresh/baseline ratio measures
+#: how much faster or slower this machine is than the one that recorded
+#: the baseline, and no program change can rescale it.
+CALIBRATION_PROBE = "test_machine_speed_probe"
 
 _POINT_NAME = re.compile(r"^BENCH_(\d{8})_([0-9a-f]{7,40})\.json$")
 

@@ -882,6 +882,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             # The CI-gated subset (mirrors .github/workflows/ci.yml).
             targets = [
+                "benchmarks/test_bench_calibration.py",
                 "benchmarks/test_bench_fig1_pareto.py",
                 "benchmarks/test_bench_lp_scaling.py",
                 "benchmarks/test_bench_sweep_parametric.py",

@@ -4,18 +4,31 @@ A configuration is the per-task control knob of the whole paper — the LP
 and the runtimes all choose one (or a convex mixture) per task.  This
 module enumerates the full configuration space of a socket and evaluates a
 task's (duration, power) at each point, producing the raw scatter of the
-paper's Figure 1.
+paper's Figure 1.  The whole space is evaluated as one array expression
+over a grid cached per socket spec; :func:`measure_task` is the scalar
+form of the same models.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
+
+import numpy as np
 
 from .cpu import CpuSpec, XEON_E5_2670
-from .performance import TaskKernel, TaskTimeModel
-from .power import SocketPowerModel
+from .performance import KernelArrays, TaskKernel, TaskTimeModel, batch_task_durations
+from .power import SocketPowerModel, batch_task_powers
 
-__all__ = ["Configuration", "ConfigPoint", "enumerate_configurations", "measure_task"]
+__all__ = [
+    "Configuration",
+    "ConfigPoint",
+    "config_arrays",
+    "enumerate_configurations",
+    "measure_task",
+    "measure_task_space",
+]
 
 
 @dataclass(frozen=True, order=True)
@@ -88,15 +101,28 @@ class ConfigPoint:
         )
 
 
-def enumerate_configurations(
-    spec: CpuSpec = XEON_E5_2670, include_modulation: bool = False
-) -> list[Configuration]:
-    """All admissible configurations of a socket.
+def config_arrays(
+    configs: list[Configuration],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(freq, threads, duty) arrays for a list of configurations."""
+    return (
+        np.array([c.freq_ghz for c in configs]),
+        np.array([c.threads for c in configs], dtype=np.int64),
+        np.array([c.duty for c in configs]),
+    )
 
-    Ordered by descending frequency then descending threads, mirroring the
-    paper's Table 1 listing.  Clock-modulated points (below the lowest
-    P-state, max threads only) are appended when requested.
-    """
+
+class _Grid(NamedTuple):
+    """A socket's configuration space with its (freq, threads, duty) arrays."""
+
+    configs: tuple[Configuration, ...]
+    freq: np.ndarray
+    threads: np.ndarray
+    duty: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _grid(spec: CpuSpec, include_modulation: bool) -> _Grid:
     configs = [
         Configuration(f, n)
         for f in spec.pstates
@@ -106,7 +132,23 @@ def enumerate_configurations(
         configs.extend(
             Configuration(spec.fmin_ghz, spec.cores, duty) for duty in spec.duty_cycles
         )
-    return configs
+    arrays = config_arrays(configs)
+    for a in arrays:
+        a.setflags(write=False)
+    return _Grid(tuple(configs), *arrays)
+
+
+def enumerate_configurations(
+    spec: CpuSpec = XEON_E5_2670, include_modulation: bool = False
+) -> list[Configuration]:
+    """All admissible configurations of a socket.
+
+    Ordered by descending frequency then descending threads, mirroring the
+    paper's Table 1 listing.  Clock-modulated points (below the lowest
+    P-state, max threads only) are appended when requested.  Returns a
+    fresh list over the cached grid's configurations.
+    """
+    return list(_grid(spec, include_modulation).configs)
 
 
 def measure_task(
@@ -139,10 +181,22 @@ def measure_task_space(
     spec: CpuSpec | None = None,
     include_modulation: bool = False,
 ) -> list[ConfigPoint]:
-    """Measure a task across the entire configuration space (Figure 1 data)."""
+    """Measure a task across the entire configuration space (Figure 1 data).
+
+    One array expression over the cached grid, bit-identical to
+    :func:`measure_task` at every configuration of
+    :func:`enumerate_configurations`, in the same order; every point
+    still passes :class:`ConfigPoint` validation.
+    """
     cpu = spec if spec is not None else power_model.spec
-    tm = TaskTimeModel(cpu)
-    return [
-        measure_task(kernel, cfg, power_model, tm)
-        for cfg in enumerate_configurations(cpu, include_modulation)
-    ]
+    if cpu.cores > power_model.spec.cores:
+        raise ValueError(
+            f"threads must be in [1, {power_model.spec.cores}], got {cpu.cores}"
+        )
+    grid = _grid(cpu, include_modulation)
+    ka = KernelArrays.of(kernel)
+    durations = batch_task_durations(
+        TaskTimeModel(cpu), ka, grid.freq, grid.threads, grid.duty
+    )
+    powers = batch_task_powers(power_model, ka, grid.freq, grid.threads, grid.duty)
+    return list(map(ConfigPoint, grid.configs, durations.tolist(), powers.tolist()))

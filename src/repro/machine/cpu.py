@@ -9,12 +9,15 @@ running BT at "22% of max clock" under a 30 W cap.
 
 :class:`CpuSpec` is a frozen value object; every other machine-model module
 takes one as input so alternative processors can be modeled by constructing
-a different spec.
+a different spec.  Its DVFS tables are computed once per instance
+(``functools.cached_property`` stores them in the instance ``__dict__``,
+outside the dataclass fields, so equality and hashing are unaffected).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,7 +65,7 @@ class CpuSpec:
         if self.modulation_levels < 0:
             raise ValueError("modulation_levels must be >= 0")
 
-    @property
+    @cached_property
     def pstates(self) -> tuple[float, ...]:
         """All DVFS frequencies in GHz, descending (P0 first, like Intel)."""
         n = int(round((self.fmax_ghz - self.fmin_ghz) / self.fstep_ghz)) + 1
@@ -75,7 +78,7 @@ class CpuSpec:
     def n_pstates(self) -> int:
         return len(self.pstates)
 
-    @property
+    @cached_property
     def duty_cycles(self) -> tuple[float, ...]:
         """Clock-modulation duty cycles below the lowest P-state, descending.
 
@@ -89,9 +92,15 @@ class CpuSpec:
         """Admissible OpenMP thread counts, ascending (1..cores)."""
         return tuple(range(1, self.cores + 1))
 
+    @cached_property
+    def _pstate_array(self) -> np.ndarray:
+        states = np.array(self.pstates)
+        states.setflags(write=False)
+        return states
+
     def nearest_pstate(self, freq_ghz: float) -> float:
         """Snap an arbitrary frequency onto the closest available P-state."""
-        states = np.asarray(self.pstates)
+        states = self._pstate_array
         return float(states[np.argmin(np.abs(states - freq_ghz))])
 
     def clamp_frequency(self, freq_ghz: float) -> float:

@@ -236,7 +236,7 @@ class GpuDevice:
     def kind(self) -> DeviceKind:
         return DeviceKind.GPU
 
-    @property
+    @cached_property
     def pstates(self) -> tuple[float, ...]:
         """GPU clock states in GHz, descending (mirrors ``CpuSpec.pstates``)."""
         n = int(round((self.fmax_ghz - self.fmin_ghz) / self.fstep_ghz)) + 1

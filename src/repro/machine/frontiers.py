@@ -136,8 +136,11 @@ class FrontierStore:
 
         The shared reduction for measurement-based paths that assemble
         their own point sets (partial exploration, executed-run traces).
+        The hull is taken over the Pareto set, which is its own Pareto
+        frontier, so the scatter is sorted once.
         """
-        return pareto_frontier(points), convex_frontier(points)
+        pareto = pareto_frontier(points)
+        return pareto, convex_frontier(pareto)
 
     def __len__(self) -> int:
         return len(self._profiles)

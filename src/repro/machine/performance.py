@@ -26,10 +26,13 @@ window, so both components stretch by 1/d.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
+
+import numpy as np
 
 from .cpu import CpuSpec, XEON_E5_2670
 
-__all__ = ["TaskKernel", "TaskTimeModel"]
+__all__ = ["KernelArrays", "TaskKernel", "TaskTimeModel", "batch_task_durations"]
 
 
 @dataclass(frozen=True)
@@ -166,3 +169,82 @@ class TaskTimeModel:
         durations = [self.duration(kernel, self.spec.fmax_ghz, n) for n in counts]
         best = min(range(len(counts)), key=lambda i: (durations[i], counts[i]))
         return counts[best]
+
+
+#: TaskKernel attributes behind the KernelArrays parameter fields, in order.
+_KERNEL_PARAMS = (
+    ("cpu_seconds", np.float64),
+    ("mem_seconds", np.float64),
+    ("parallel_fraction", np.float64),
+    ("mem_parallel_fraction", np.float64),
+    ("bw_saturation_threads", np.int64),
+    ("contention_threshold", np.int64),
+    ("contention_penalty", np.float64),
+    ("activity", np.float64),
+    ("mem_intensity", np.float64),
+)
+
+
+class KernelArrays(NamedTuple):
+    """Task-kernel parameters as arrays for the batch evaluators.
+
+    The fields broadcast against the configuration arrays handed to
+    :func:`batch_task_durations` and
+    :func:`~repro.machine.power.batch_task_powers`: dense ``[n_tasks]``
+    arrays evaluate one configuration per task (the plan path),
+    ``[n_tasks, 1]`` columns evaluate a ``[n_tasks, n_points]`` sweep, and
+    plain scalars evaluate one kernel over a whole configuration grid.
+    """
+
+    kernels: list
+    cpu: np.ndarray
+    mem: np.ndarray
+    pf: np.ndarray
+    pm: np.ndarray
+    sat: np.ndarray
+    ct: np.ndarray
+    cp: np.ndarray
+    activity: np.ndarray
+    mem_int: np.ndarray
+
+    @classmethod
+    def from_kernels(cls, kernels: list[TaskKernel]) -> "KernelArrays":
+        """One ``[n_tasks]`` array per parameter, in task order."""
+        return cls(kernels, *(
+            np.array([getattr(k, attr) for k in kernels], dtype=dtype)
+            for attr, dtype in _KERNEL_PARAMS
+        ))
+
+    @classmethod
+    def of(cls, kernel: TaskKernel) -> "KernelArrays":
+        """One kernel's parameters as Python scalars (broadcast to any grid)."""
+        return cls([kernel], *(getattr(kernel, attr) for attr, _ in _KERNEL_PARAMS))
+
+    def as_columns(self) -> "KernelArrays":
+        """The same parameters shaped ``[n_tasks, 1]`` so they broadcast
+        against ``[n_tasks, n_points]`` configuration arrays (cheap views;
+        the elementwise expressions, and so the result bits, are unchanged)."""
+        return KernelArrays(self.kernels, *(a[:, None] for a in self[1:]))
+
+
+def batch_task_durations(
+    time_model: TaskTimeModel,
+    ka: KernelArrays,
+    freq_ghz: np.ndarray,
+    threads: np.ndarray,
+    duty: np.ndarray,
+) -> np.ndarray:
+    """Vectorized :meth:`TaskTimeModel.duration`.
+
+    Replicates the scalar model's expression order term for term, and
+    numpy's ``+ - * /`` round exactly like Python's, so the results are
+    bit-identical to per-configuration calls (asserted by tests).  Skips
+    the scalar path's argument validation: callers pass configurations
+    that are valid by construction.
+    """
+    g = (1.0 - ka.pf) + ka.pf / threads
+    cpu = ka.cpu * g * (time_model.spec.fmax_ghz / freq_ghz)
+    base = (1.0 - ka.pm) + ka.pm / np.minimum(threads, ka.sat)
+    over = np.maximum(0, threads - ka.ct)
+    mem = ka.mem * (base * (1.0 + ka.cp * over))
+    return (cpu + mem) / duty

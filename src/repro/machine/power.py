@@ -17,9 +17,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cpu import CpuSpec, XEON_E5_2670
+import numpy as np
 
-__all__ = ["PowerModelParams", "SocketPowerModel", "DEFAULT_POWER_PARAMS"]
+from .cpu import CpuSpec, XEON_E5_2670
+from .performance import KernelArrays
+
+__all__ = [
+    "PowerModelParams",
+    "SocketPowerModel",
+    "DEFAULT_POWER_PARAMS",
+    "batch_task_powers",
+    "frequency_power_factors",
+]
 
 
 @dataclass(frozen=True)
@@ -181,3 +190,39 @@ class SocketPowerModel:
             return self.spec.fmin_ghz
         rel = (dyn_budget / denom) ** (1.0 / p.freq_exponent)
         return self.spec.clamp_frequency(rel * self.spec.fmax_ghz)
+
+
+def frequency_power_factors(
+    power_model: SocketPowerModel, freq_ghz: np.ndarray
+) -> np.ndarray:
+    """``(f / fmax) ** freq_exponent`` per element, as the scalar model has it.
+
+    numpy's array ``**`` may dispatch to a SIMD pow (AVX-512 hosts) that
+    differs from libm ``pow`` in the last bit at some frequencies, so the
+    factor is computed with Python-scalar pow once per distinct frequency
+    and gathered back into the array's shape.
+    """
+    distinct, inverse = np.unique(freq_ghz, return_inverse=True)
+    fmax = power_model.spec.fmax_ghz
+    gamma = power_model.params.freq_exponent
+    table = np.array([(f / fmax) ** gamma for f in distinct.tolist()])
+    return table[inverse].reshape(np.shape(freq_ghz))
+
+
+def batch_task_powers(
+    power_model: SocketPowerModel,
+    ka: KernelArrays,
+    freq_ghz: np.ndarray,
+    threads: np.ndarray,
+    duty: np.ndarray,
+) -> np.ndarray:
+    """Vectorized :meth:`SocketPowerModel.power`, bit-identical to
+    per-configuration calls (see
+    :func:`~repro.machine.performance.batch_task_durations` and
+    :func:`frequency_power_factors`)."""
+    p = power_model.params
+    rel_pow = frequency_power_factors(power_model, freq_ghz)
+    dyn = ka.activity * p.p_core_dyn_max * rel_pow
+    uncore = p.p_uncore_idle + p.p_uncore_mem * ka.mem_int * duty
+    per_core = p.p_core_leak + dyn * duty
+    return power_model.efficiency * (uncore + threads * per_core)

@@ -16,14 +16,9 @@ kernel and the machine — so the policy also offers the vectorized
 
 from __future__ import annotations
 
-from ..machine.configuration import (
-    ConfigPoint,
-    Configuration,
-    enumerate_configurations,
-    measure_task,
-)
+from ..machine.configuration import ConfigPoint, Configuration, measure_task_space
 from ..machine.cpu import CpuSpec, XEON_E5_2670
-from ..machine.performance import TaskKernel, TaskTimeModel
+from ..machine.performance import TaskKernel
 from ..machine.power import SocketPowerModel
 from ..simulator.engine import (
     Engine,
@@ -101,19 +96,13 @@ class ConfigSearchPolicy:
         self.cap_per_socket_w = (
             None if job_cap_w is None else job_cap_w / len(power_models)
         )
-        self._time_models = [TaskTimeModel(pm.spec) for pm in power_models]
-        self._configs = [enumerate_configurations(pm.spec) for pm in power_models]
         self._memo: dict[tuple[int, TaskKernel], Configuration] = {}
 
     def _search(self, rank: int, kernel: TaskKernel) -> Configuration:
         key = (rank, kernel)
         chosen = self._memo.get(key)
         if chosen is None:
-            pm = self.power_models[rank]
-            tm = self._time_models[rank]
-            points = [
-                measure_task(kernel, cfg, pm, tm) for cfg in self._configs[rank]
-            ]
+            points = measure_task_space(kernel, self.power_models[rank])
             chosen = energy_optimal_point(
                 points, self.cap_per_socket_w, self.max_slowdown
             ).config

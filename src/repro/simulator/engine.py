@@ -24,11 +24,16 @@ from typing import Protocol
 import numpy as np
 
 from ..exec.timing import count, span
-from ..machine.configuration import Configuration
+from ..machine.configuration import Configuration, config_arrays
 from ..machine.cpu import CpuSpec, XEON_E5_2670
 from ..machine.device import NodeSpec
-from ..machine.performance import TaskKernel, TaskTimeModel
-from ..machine.power import SocketPowerModel
+from ..machine.performance import (
+    KernelArrays,
+    TaskKernel,
+    TaskTimeModel,
+    batch_task_durations,
+)
+from ..machine.power import SocketPowerModel, batch_task_powers
 from ..obs.events import CollectiveEvent, MpiWaitEvent, TaskEvent
 from ..obs.metrics import inc as metric_inc
 from ..obs.recorder import current_recorder
@@ -57,8 +62,6 @@ __all__ = [
     "SweepRankPlan",
     "SweepRunPlan",
     "rank_kernel_arrays",
-    "batch_task_durations",
-    "batch_task_powers",
 ]
 
 
@@ -167,23 +170,7 @@ class SweepRunPlan:
     n_points: int
 
 
-@dataclass(frozen=True)
-class _KernelArrays:
-    """One rank's task-kernel parameters as dense arrays (plan hot path)."""
-
-    kernels: list
-    cpu: np.ndarray
-    mem: np.ndarray
-    pf: np.ndarray
-    pm: np.ndarray
-    sat: np.ndarray
-    ct: np.ndarray
-    cp: np.ndarray
-    activity: np.ndarray
-    mem_int: np.ndarray
-
-
-def rank_kernel_arrays(app: Application) -> list[_KernelArrays]:
+def rank_kernel_arrays(app: Application) -> list[KernelArrays]:
     """Per-rank kernel-parameter arrays, cached on the application.
 
     Plan-building policies call this once per run; the gather over kernel
@@ -193,77 +180,14 @@ def rank_kernel_arrays(app: Application) -> list[_KernelArrays]:
     cached = getattr(app, "_plan_kernel_arrays", None)
     if cached is not None:
         return cached
-    arrays = []
-    for program in app.programs:
-        kernels = [op.kernel for op in program if isinstance(op, ComputeOp)]
-        arrays.append(_KernelArrays(
-            kernels=kernels,
-            cpu=np.array([k.cpu_seconds for k in kernels]),
-            mem=np.array([k.mem_seconds for k in kernels]),
-            pf=np.array([k.parallel_fraction for k in kernels]),
-            pm=np.array([k.mem_parallel_fraction for k in kernels]),
-            sat=np.array(
-                [k.bw_saturation_threads for k in kernels], dtype=np.int64
-            ),
-            ct=np.array(
-                [k.contention_threshold for k in kernels], dtype=np.int64
-            ),
-            cp=np.array([k.contention_penalty for k in kernels]),
-            activity=np.array([k.activity for k in kernels]),
-            mem_int=np.array([k.mem_intensity for k in kernels]),
-        ))
+    arrays = [
+        KernelArrays.from_kernels(
+            [op.kernel for op in program if isinstance(op, ComputeOp)]
+        )
+        for program in app.programs
+    ]
     app._plan_kernel_arrays = arrays
     return arrays
-
-
-def batch_task_durations(
-    time_model: TaskTimeModel,
-    ka: _KernelArrays,
-    freq_ghz: np.ndarray,
-    threads: np.ndarray,
-    duty: np.ndarray,
-) -> np.ndarray:
-    """Vectorized :meth:`TaskTimeModel.duration` over one rank's tasks.
-
-    Replicates the scalar model's expression order term for term, so the
-    results are bit-identical to per-task calls (asserted by tests).
-    Skips the scalar path's argument validation: plan inputs come from
-    frontier configurations, which are valid by construction.
-    """
-    g = (1.0 - ka.pf) + ka.pf / threads
-    cpu = ka.cpu * g * (time_model.spec.fmax_ghz / freq_ghz)
-    base = (1.0 - ka.pm) + ka.pm / np.minimum(threads, ka.sat)
-    over = np.maximum(0, threads - ka.ct)
-    mem = ka.mem * (base * (1.0 + ka.cp * over))
-    return (cpu + mem) / duty
-
-
-def batch_task_powers(
-    power_model: SocketPowerModel,
-    ka: _KernelArrays,
-    freq_ghz: np.ndarray,
-    threads: np.ndarray,
-    duty: np.ndarray,
-) -> np.ndarray:
-    """Vectorized :meth:`SocketPowerModel.power` over one rank's tasks
-    (bit-identical to per-task calls; see :func:`batch_task_durations`)."""
-    p = power_model.params
-    rel = freq_ghz / power_model.spec.fmax_ghz
-    dyn = ka.activity * p.p_core_dyn_max * rel**p.freq_exponent
-    uncore = p.p_uncore_idle + p.p_uncore_mem * ka.mem_int * duty
-    per_core = p.p_core_leak + dyn * duty
-    return power_model.efficiency * (uncore + threads * per_core)
-
-
-def _config_arrays(
-    configs: list,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(freq, threads, duty) arrays for a list of configurations."""
-    return (
-        np.array([c.freq_ghz for c in configs]),
-        np.array([c.threads for c in configs], dtype=np.int64),
-        np.array([c.duty for c in configs]),
-    )
 
 
 def plan_from_configs(app: Application, engine: "Engine", per_rank_configs: list) -> RunPlan:
@@ -302,7 +226,7 @@ def plan_from_configs(app: Application, engine: "Engine", per_rank_configs: list
                         )
                     )
         elif configs:
-            f, n, d = _config_arrays(configs)
+            f, n, d = config_arrays(configs)
             durations = batch_task_durations(
                 engine.time_models[rank], ka, f, n, d
             ).tolist()
@@ -316,25 +240,6 @@ def plan_from_configs(app: Application, engine: "Engine", per_rank_configs: list
             RankPlan(configs=configs, durations=durations, powers=powers)
         )
     return RunPlan(ranks=plans)
-
-
-def kernel_arrays_as_columns(ka: _KernelArrays) -> _KernelArrays:
-    """The same kernel parameters shaped ``[n_tasks, 1]`` so the batch
-    evaluators broadcast against ``[n_tasks, n_points]`` configuration
-    arrays (cheap views; the elementwise expressions — and therefore the
-    result bits — are unchanged)."""
-    return _KernelArrays(
-        kernels=ka.kernels,
-        cpu=ka.cpu[:, None],
-        mem=ka.mem[:, None],
-        pf=ka.pf[:, None],
-        pm=ka.pm[:, None],
-        sat=ka.sat[:, None],
-        ct=ka.ct[:, None],
-        cp=ka.cp[:, None],
-        activity=ka.activity[:, None],
-        mem_int=ka.mem_int[:, None],
-    )
 
 
 class MaxPerformancePolicy:

@@ -20,8 +20,8 @@ import numpy as np
 
 from ..machine.configuration import Configuration
 from ..machine.cpu import CpuSpec, XEON_E5_2670
-from ..machine.performance import TaskKernel, TaskTimeModel
-from ..machine.power import SocketPowerModel
+from ..machine.performance import TaskKernel, TaskTimeModel, batch_task_durations
+from ..machine.power import SocketPowerModel, batch_task_powers
 from .engine import (
     Engine,
     RunPlan,
@@ -29,9 +29,6 @@ from .engine import (
     SweepRankPlan,
     SweepRunPlan,
     TaskRecord,
-    batch_task_durations,
-    batch_task_powers,
-    kernel_arrays_as_columns,
     plan_from_configs,
     rank_kernel_arrays,
 )
@@ -233,7 +230,7 @@ def build_replay_sweep_plan(
     rank_plans = []
     for rank in range(app.n_ranks):
         ka = arrays[rank]
-        ka_cols = kernel_arrays_as_columns(ka)
+        ka_cols = ka.as_columns()
         n_tasks = len(ka.kernels)
         targets = [[None] * n_points for _ in range(n_tasks)]
         freq = np.ones((n_tasks, n_points))

@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from repro.machine import (
     Configuration,
     ConfigPoint,
+    CpuSpec,
+    FrontierStore,
+    PowerModelParams,
     RaplController,
     SocketPowerModel,
     TaskKernel,
@@ -17,6 +20,9 @@ from repro.machine import (
     measure_task_space,
     pareto_frontier,
 )
+from repro.machine.device import EFFICIENCY_CORE_CLUSTER
+
+from ..machine.oracles import scalar_task_space
 
 kernels = st.builds(
     TaskKernel,
@@ -32,6 +38,28 @@ kernels = st.builds(
 )
 
 efficiencies = st.floats(0.85, 1.2)
+
+#: Kernels whose spaces are full of ties: no compute work makes every
+#: frequency equally fast, zero activity makes every frequency draw the
+#: same power.
+tie_heavy_kernels = st.builds(
+    TaskKernel,
+    cpu_seconds=st.one_of(st.just(0.0), st.floats(0.01, 20.0)),
+    mem_seconds=st.floats(0.01, 10.0),
+    parallel_fraction=st.floats(0.0, 1.0),
+    mem_parallel_fraction=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    bw_saturation_threads=st.integers(1, 8),
+    contention_threshold=st.integers(1, 8),
+    contention_penalty=st.floats(0.0, 0.5),
+    activity=st.one_of(st.just(0.0), st.floats(0.3, 2.0)),
+    mem_intensity=st.floats(0.0, 1.0),
+)
+
+grid_specs = st.sampled_from([
+    XEON_E5_2670,
+    EFFICIENCY_CORE_CLUSTER,
+    CpuSpec(name="0.05 GHz steps", fstep_ghz=0.05),
+])
 
 point_lists = st.lists(
     st.builds(
@@ -87,6 +115,37 @@ class TestFrontierProperties:
         # Hull endpoints bound the achievable range.
         best = min(p.duration_s for p in points)
         assert hull[-1].duration_s == pytest.approx(best)
+
+
+class TestGridMeasurementIdentity:
+    """The vectorized grid path is the scalar per-configuration loop,
+    bit for bit and in order; so are the frontiers reduced from it."""
+
+    @given(
+        kernel=st.one_of(kernels, tie_heavy_kernels),
+        spec=grid_specs,
+        eff=efficiencies,
+        gamma=st.floats(1.0, 3.0),
+        modulation=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_measure_task_space_equals_scalar_oracle(
+        self, kernel, spec, eff, gamma, modulation
+    ):
+        pm = SocketPowerModel(spec, PowerModelParams(freq_exponent=gamma), eff)
+        assert measure_task_space(
+            kernel, pm, include_modulation=modulation
+        ) == scalar_task_space(kernel, pm, include_modulation=modulation)
+
+    @given(kernel=tie_heavy_kernels, spec=grid_specs, eff=efficiencies)
+    @settings(max_examples=100, deadline=None)
+    def test_store_frontiers_equal_oracle_frontiers(self, kernel, spec, eff):
+        pm = SocketPowerModel(spec, efficiency=eff)
+        oracle = scalar_task_space(kernel, pm)
+        prof = FrontierStore([pm]).profile(0, kernel)
+        assert prof.points == oracle
+        assert prof.pareto == pareto_frontier(oracle)
+        assert prof.convex == convex_frontier(oracle)
 
 
 class TestModelProperties:
