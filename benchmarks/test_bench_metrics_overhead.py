@@ -20,7 +20,8 @@ import time
 from conftest import engage
 
 from repro.experiments.runner import ExperimentConfig, run_comparison
-from repro.obs.metrics import Metrics, use_metrics
+from repro.obs.metrics import Metrics
+from repro.obs.observer import Observer, use_observer
 
 #: The CLI's --quick comparison (see repro.experiments.cli._run_config).
 QUICK = ExperimentConfig(
@@ -60,7 +61,7 @@ def test_metrics_on_overhead_is_bounded(benchmark):
 
         metrics = Metrics()
         t0 = time.perf_counter()
-        with use_metrics(metrics):
+        with use_observer(Observer(metrics=metrics)):
             _cell()
         t_on.append(time.perf_counter() - t0)
         assert metrics.counter("solve.total") > 0  # really counted

@@ -1,7 +1,7 @@
 """Observability overhead: tracing disabled must be effectively free.
 
 The ``repro.obs`` instrumentation gates every emission site behind one
-contextvar read (see ``repro.obs.recorder``), so a run without an active
+contextvar read (see ``repro.obs.observer``), so a run without an active
 :class:`TraceRecorder` should time indistinguishably from the
 pre-instrumentation code — the committed ``benchmarks/baseline.json``
 predates the instrumentation, so CI's regression gate doubles as the
@@ -22,7 +22,8 @@ import time
 from conftest import engage
 
 from repro.experiments.runner import ExperimentConfig, run_comparison
-from repro.obs.recorder import TraceRecorder, use_recorder
+from repro.obs.observer import Observer, use_observer
+from repro.obs.recorder import TraceRecorder
 
 #: The CLI's --quick comparison (see repro.experiments.cli._run_config).
 QUICK = ExperimentConfig(
@@ -62,7 +63,7 @@ def test_tracing_on_overhead_is_bounded(benchmark):
 
         recorder = TraceRecorder()
         t0 = time.perf_counter()
-        with use_recorder(recorder):
+        with use_observer(Observer(recorder=recorder)):
             _cell()
         t_on.append(time.perf_counter() - t0)
         assert len(recorder) > 0  # the traced side really recorded

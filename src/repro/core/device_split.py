@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..exec.timing import span
+from ..obs.observer import span
 from .fixed_order_lp import FixedOrderLpResult, compile_fixed_order
 from .model import CompiledModel, ProblemInstance, extract_schedule
 from .solver import LpStatus
@@ -126,8 +126,8 @@ def solve_device_split_lp(
         compiled = compile_device_split(
             instance, cap_w, shares, groups, power_tiebreak=power_tiebreak
         )
-    with span("solve"):
-        solution = compiled.lp.solve(time_limit_s=time_limit_s)
+        frozen = compiled.freeze()
+    solution = frozen.solve(time_limit_s=time_limit_s)
     if solution.status is not LpStatus.OPTIMAL:
         return FixedOrderLpResult(
             schedule=None, solution=solution, events=instance.events

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exec.timing import span
+from ..obs.observer import span
 from ..simulator.trace import Trace
 from .events import EventStructure
 from .schedule import PowerSchedule
@@ -277,9 +277,9 @@ def solve_fixed_order_lp(
             discrete=discrete,
             assembly=assembly,
         )
+        frozen = compiled.freeze()
 
-    with span("solve"):
-        solution = compiled.lp.solve(time_limit_s=time_limit_s)
+    solution = frozen.solve(time_limit_s=time_limit_s)
     if solution.status is not LpStatus.OPTIMAL:
         return FixedOrderLpResult(
             schedule=None, solution=solution, events=instance.events

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dag.graph import TaskGraph
-from ..exec.timing import span
+from ..obs.observer import span
 from ..simulator.trace import Trace
 from .model import (
     CompiledModel,
@@ -309,12 +309,15 @@ def solve_flow_ilp(
             f"flow ILP limited to {max_edges} DAG edges "
             f"(got {graph.n_edges}); use the fixed-order LP"
         )
-    if instance is None:
-        instance = build_problem_instance(trace)
-    compiled = compile_flow_ilp(instance, cap_w, power_tiebreak=power_tiebreak)
+    with span("assemble"):
+        if instance is None:
+            instance = build_problem_instance(trace)
+        compiled = compile_flow_ilp(
+            instance, cap_w, power_tiebreak=power_tiebreak
+        )
+        frozen = compiled.freeze()
 
-    with span("solve"):
-        solution = compiled.lp.solve(time_limit_s=time_limit_s)
+    solution = frozen.solve(time_limit_s=time_limit_s)
     if solution.status is not LpStatus.OPTIMAL:
         return FlowIlpResult(schedule=None, solution=solution)
 

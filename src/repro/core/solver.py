@@ -20,10 +20,10 @@ import numpy as np
 import scipy.optimize as sopt
 import scipy.sparse as sp
 
-from ..obs.audit import SolveRecord, current_audit
+from ..obs.audit import SolveRecord
 from ..obs.events import SolveEvent
-from ..obs.metrics import ITERATION_BUCKETS, current_metrics
-from ..obs.recorder import current_recorder
+from ..obs.metrics import ITERATION_BUCKETS
+from ..obs.observer import current_observer, record_span
 
 try:  # SciPy's bundled HiGHS bindings; internal layout varies by version.
     from scipy.optimize._highspy import _core as _hcore
@@ -486,28 +486,27 @@ class FrozenProgram:
         upper bound of ``<=`` rows, the lower bound of ``>=`` rows, both
         for equalities — leaving the assembled matrix untouched.
 
-        Every solve is audited: when a :class:`repro.obs.SolveAudit` is
-        active, the model shape, iteration count, status, objective,
-        wall time, and provenance (cold first solve vs parametric
-        re-solve) are recorded; an active
-        :class:`repro.obs.TraceRecorder` additionally gets a solve
-        event.  Both are no-ops when disabled.
+        This is the one place every LP/MILP solve is observed.  One
+        clock pair times the solver call for the ``solve`` span, the
+        ``solve.wall_s`` histogram and the audit record's ``wall_s``.
+        With an active :class:`repro.obs.Observer`, the metrics sink
+        counts the solve, the audit sink records the model shape,
+        iteration count, status, objective, wall time and provenance
+        (cold first solve vs parametric re-solve), and the recorder gets
+        a solve event.  Each is a no-op when its sink is absent.
         """
         lo, hi = self._bounds_with(rhs)
         self.n_solves += 1
         source = "cold" if self.n_solves == 1 else "resolve"
-        audit = current_audit()
-        recorder = current_recorder()
-        metrics = current_metrics()
-        t0 = (
-            time.perf_counter()
-            if audit is not None or metrics is not None
-            else 0.0
-        )
+        observer = current_observer()
+        audit, metrics = observer.audit, observer.metrics
+        timed = audit is not None or metrics is not None
+        t0 = time.perf_counter() if timed else 0.0
         if self.is_mip:
             solution, backend, iterations = self._solve_milp(lo, hi, time_limit_s)
         else:
             solution, backend, iterations = self._solve_lp(lo, hi, time_limit_s)
+        wall_s = time.perf_counter() - t0 if timed else 0.0
         if metrics is not None:
             # solve.total is a pure function of the work performed;
             # cold/resolve splits, iteration counts, and wall seconds
@@ -520,9 +519,8 @@ class FrozenProgram:
                     "solve.iterations", iterations,
                     buckets=ITERATION_BUCKETS, operational=True,
                 )
-            metrics.observe(
-                "solve.wall_s", time.perf_counter() - t0, operational=True
-            )
+            metrics.observe("solve.wall_s", wall_s, operational=True)
+            record_span(metrics, "solve", wall_s)
         if audit is not None:
             audit.record(SolveRecord(
                 program=self.name,
@@ -534,10 +532,10 @@ class FrozenProgram:
                 iterations=iterations,
                 status=solution.status.value,
                 objective=solution.objective if solution.ok else None,
-                wall_s=time.perf_counter() - t0,
+                wall_s=wall_s,
             ))
-        if recorder is not None:
-            recorder.emit(SolveEvent(
+        if observer.recorder is not None:
+            observer.recorder.emit(SolveEvent(
                 program=self.name,
                 source=source,
                 backend=backend,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from ..obs.observer import span
 from ..simulator.trace import Trace
 from .events import EventStructure
 from .fixed_order_lp import (
@@ -83,16 +84,17 @@ class ParametricCapSolver:
         power_tiebreak: float = 1e-9,
         instance: ProblemInstance | None = None,
     ) -> None:
-        if instance is None:
-            instance = build_problem_instance(trace, events=events)
+        with span("assemble"):
+            if instance is None:
+                instance = build_problem_instance(trace, events=events)
+            # The placeholder cap never reaches the solver: every solve
+            # overrides the tagged rows' RHS with its own cap.
+            self._compiled = compile_fixed_order(
+                instance, cap_w=1.0, power_tiebreak=power_tiebreak
+            )
+            self._frozen = self._compiled.freeze()
         self.instance = instance
         self.power_tiebreak = float(power_tiebreak)
-        # The placeholder cap never reaches the solver: every solve
-        # overrides the tagged rows' RHS with its own cap.
-        self._compiled = compile_fixed_order(
-            instance, cap_w=1.0, power_tiebreak=power_tiebreak
-        )
-        self._frozen = self._compiled.freeze()
 
     @property
     def events(self) -> EventStructure:

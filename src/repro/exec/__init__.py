@@ -1,12 +1,9 @@
-"""Execution subsystem: parallel fan-out, solver caching, telemetry.
+"""Execution subsystem: parallel fan-out, solver caching, checkpointing.
 
 Every paper figure is a sweep of independent, fully seeded cells; this
 package makes those sweeps parallel and incremental without changing what
 they compute:
 
-``repro.exec.timing``
-    Phase spans (trace / assemble / solve / replay) and counters,
-    activated per-context so the uninstrumented cost stays measurable.
 ``repro.exec.keys``
     Canonical serialization + SHA-256 content addressing of model inputs.
 ``repro.exec.cache``
@@ -25,20 +22,14 @@ they compute:
 ``repro.exec.options``
     Ambient workers/cache configuration consumed by the sweep layer.
 
-Submodules are imported lazily: low-level packages (``repro.core``,
-``repro.simulator``) import ``repro.exec.timing`` for instrumentation,
-while ``repro.exec.cache`` imports ``repro.core`` — eager re-exports here
-would turn that layering into an import cycle.
+Instrumentation (phase spans, counters, worker snapshots) lives in
+:mod:`repro.obs.observer`.  Submodules are imported lazily, on first
+attribute access.
 """
 
 from __future__ import annotations
 
 __all__ = [
-    "Telemetry",
-    "current_telemetry",
-    "use_telemetry",
-    "span",
-    "count",
     "SolverCache",
     "cached_solve_fixed_order_lp",
     "solver_key",
@@ -62,11 +53,6 @@ __all__ = [
 ]
 
 _EXPORTS = {
-    "Telemetry": "timing",
-    "current_telemetry": "timing",
-    "use_telemetry": "timing",
-    "span": "timing",
-    "count": "timing",
     "SolverCache": "cache",
     "cached_solve_fixed_order_lp": "cache",
     "solver_key": "keys",

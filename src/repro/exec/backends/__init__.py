@@ -22,11 +22,10 @@ implement it:
     idle heartbeats, death detection, and respawn-and-reconnect.  The
     transport the always-on service (:mod:`repro.service`) runs on.
 
-Every backend ships results as the same observability-bearing payload
-(:func:`~repro.exec.backends.base.run_task`), so worker telemetry,
-traces, audits, metrics, and profiles merge identically whatever the
-transport — a parallel run's deterministic artifacts stay byte-identical
-to a serial run's.
+Every backend ships results as the same ``(value, snapshot)`` payload
+(:func:`~repro.exec.backends.base.run_task`), so worker observations
+merge identically whatever the transport — a parallel run's
+deterministic artifacts stay byte-identical to a serial run's.
 """
 
 from __future__ import annotations

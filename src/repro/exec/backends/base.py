@@ -3,7 +3,7 @@
 :class:`ExecBackend` is the seam :class:`~repro.exec.parallel.ParallelRunner`
 was split along.  The runner keeps every backend-independent guarantee —
 submission-order results, seeded retry backoff, submit-time deadlines,
-batching, observability merging — and drives a backend through five verbs:
+batching, observability merging — and drives a backend through six verbs:
 
 * :meth:`ExecBackend.submit` — hand one :class:`TaskSpec` to the
   transport, get an opaque handle back;
@@ -13,6 +13,9 @@ batching, observability merging — and drives a backend through five verbs:
   transport signals — :class:`BackendTimeoutError` when the deadline
   passed, :class:`WorkerLostError` when the worker underneath the task
   died (the worker-death signal);
+* :meth:`ExecBackend.settled_at` — when a handle's payload arrived, so
+  one that landed after its deadline (while the runner was busy
+  elsewhere) still counts as timed out;
 * :meth:`ExecBackend.cancel` — release a handle the runner gave up on;
 * :meth:`ExecBackend.recover` — restore transport capacity after a
   worker death (rebuild the pool, respawn fleet workers);
@@ -25,26 +28,21 @@ the runner's structured outcomes name the real culprit
 as the pre-backend code did.
 
 :func:`run_task` is the worker-side half of the contract: every remote
-transport runs tasks through it so results travel with their
-observability snapshots (telemetry, trace events, solver audits,
-metrics, profiles) and the parent can fold them in submission order —
-the mechanism behind serial-vs-parallel byte-identity.  In-process
-transports return ``None`` snapshots instead: the parent's own
-observability context already saw everything.
+transport runs tasks through it so results travel with one
+:class:`~repro.obs.observer.Observer` snapshot and the parent can fold
+them in submission order — the mechanism behind serial-vs-parallel
+byte-identity.  When the parent observes nothing, workers build and
+ship nothing.  In-process transports return ``None`` snapshots too:
+the parent's own observer already saw everything.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from ...obs.audit import SolveAudit, use_audit
-from ...obs.metrics import Metrics, use_metrics
-from ...obs.profiling import ProfileCollector, use_profile
-from ...obs.recorder import TraceRecorder, use_recorder
-from ..timing import Telemetry, use_telemetry
+from ...obs.observer import Observer, use_observer
 
 __all__ = [
     "BackendTimeoutError",
@@ -56,10 +54,10 @@ __all__ = [
     "run_task",
 ]
 
-#: The observability-bearing result every transport ships back:
-#: ``(value, telemetry, trace_events, audit, metrics, profile)`` with
-#: ``None`` for each snapshot the parent did not ask for (or that an
-#: in-process transport recorded directly into the parent's context).
+#: What every transport ships back: ``(value, snapshot)``, where
+#: ``snapshot`` is the worker's :meth:`Observer.snapshot`, or ``None``
+#: when the parent observes nothing (or the task ran in-process, straight
+#: into the parent's observer).
 TaskPayload = tuple
 
 
@@ -99,74 +97,32 @@ class TaskSpec:
 
     ``index`` is the task's submission index — transports treat it as
     opaque (it names the task in logs and wire messages); the runner
-    owns its meaning.  The ``want_*`` flags mirror the parent's active
-    observability sinks so remote workers only pay for the snapshots
-    the parent will actually fold in.
+    owns its meaning.  ``sinks`` names the parent observer's sinks
+    (:attr:`Observer.sinks`), so remote workers only build and ship
+    what the parent will actually fold in.
     """
 
     index: int
     fn: Callable[[Any], Any]
     item: Any
-    want_trace: bool = False
-    want_audit: bool = False
-    want_metrics: bool = False
-    want_profile: bool = False
+    sinks: tuple[str, ...] = ()
 
 
 def run_task(
-    fn: Callable[[Any], Any],
-    item: Any,
-    want_trace: bool = False,
-    want_audit: bool = False,
-    want_metrics: bool = False,
-    want_profile: bool = False,
+    fn: Callable[[Any], Any], item: Any, sinks: tuple[str, ...] = ()
 ) -> TaskPayload:
-    """Worker-side wrapper: run one task under fresh observability state.
+    """Worker-side wrapper: run one task under a fresh observer.
 
-    Telemetry is always collected; a trace recorder, solve audit, metrics
-    registry, and profile collector are activated only when the parent
-    had them active (``want_*``), keeping the common path free of
-    event-buffer overhead.  Every remote transport (process pool, socket
-    fleet) runs tasks through this function, so the payload shape — and
-    therefore the parent's submission-order merge — is identical across
-    backends.
+    The observer gets a new, empty sink for each name in ``sinks``; with
+    none named the task runs unobserved and the snapshot is ``None``.
+    Every remote transport (process pool, socket fleet) runs tasks
+    through this function, so the payload shape — and therefore the
+    parent's submission-order merge — is identical across backends.
     """
-    telemetry = Telemetry()
-    recorder = TraceRecorder() if want_trace else None
-    audit = SolveAudit() if want_audit else None
-    metrics = Metrics() if want_metrics else None
-    profile = ProfileCollector() if want_profile else None
-    with ExitStack() as stack:
-        stack.enter_context(use_telemetry(telemetry))
-        if recorder is not None:
-            stack.enter_context(use_recorder(recorder))
-        if audit is not None:
-            stack.enter_context(use_audit(audit))
-        if metrics is not None:
-            stack.enter_context(use_metrics(metrics))
-        if profile is not None:
-            stack.enter_context(use_profile(profile))
-        result = fn(item)
-    return (
-        result,
-        telemetry.to_dict(),
-        recorder.snapshot() if recorder is not None else None,
-        audit.to_dicts() if audit is not None else None,
-        metrics.to_dict() if metrics is not None else None,
-        profile.to_dict() if profile is not None else None,
-    )
-
-
-def run_task_spec(spec: TaskSpec) -> TaskPayload:
-    """:func:`run_task` on a :class:`TaskSpec` (the socket wire shape)."""
-    return run_task(
-        spec.fn,
-        spec.item,
-        spec.want_trace,
-        spec.want_audit,
-        spec.want_metrics,
-        spec.want_profile,
-    )
+    observer = Observer.fresh(sinks)
+    with use_observer(observer):
+        value = fn(item)
+    return value, observer.snapshot() if sinks else None
 
 
 class ExecBackend(ABC):
@@ -202,6 +158,14 @@ class ExecBackend(ABC):
         :class:`WorkerLostError` when the handle's worker died, and the
         task's own exception raw when the task itself failed.
         """
+
+    def settled_at(self, handle: Any) -> float | None:
+        """When the handle's outcome reached the parent (``time.monotonic``).
+
+        None when the transport cannot tell — in-process tasks settle on
+        the caller's thread, where no deadline is enforced anyway.
+        """
+        return None
 
     @abstractmethod
     def cancel(self, handle: Any) -> None:

@@ -6,15 +6,17 @@ the same order — submit through :func:`~repro.exec.backends.base.
 run_task`, wait on the future with the caller's per-wait timeout,
 rebuild the pool on ``BrokenExecutor`` — so the refactored runner stays
 byte-identical to the old one on the golden serial-vs-parallel suites.
+Each future is stamped with its completion time by a done-callback,
+which :meth:`ProcessPoolBackend.settled_at` reports.
 """
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 
-from ...obs.metrics import inc as metric_inc
-from ..timing import count
+from ...obs.observer import inc
 from .base import (
     BackendTimeoutError,
     ExecBackend,
@@ -27,6 +29,10 @@ from .base import (
 __all__ = ["ProcessPoolBackend"]
 
 
+def _stamp_settled(future: Future) -> None:
+    future.settled_at = time.monotonic()
+
+
 class ProcessPoolBackend(ExecBackend):
     """Task transport over a ``ProcessPoolExecutor``.
 
@@ -34,9 +40,8 @@ class ProcessPoolBackend(ExecBackend):
     killed by the OOM killer, ``os._exit``, a segfault) surfaces as
     :class:`~repro.exec.backends.base.WorkerLostError`;
     :meth:`recover` rebuilds the executor — resubmitting to a dead pool
-    would fail instantly and misreport the cause — and counts
-    ``pool.rebuilt`` in telemetry and operational metrics, exactly as
-    the pre-backend runner did.
+    would fail instantly and misreport the cause — and counts the
+    operational ``pool.rebuilt`` metric.
     """
 
     def __init__(self) -> None:
@@ -51,11 +56,9 @@ class ProcessPoolBackend(ExecBackend):
     def submit(self, spec: TaskSpec) -> Future:
         if self._pool is None:
             raise RuntimeError("ProcessPoolBackend.submit before start()")
-        return self._pool.submit(
-            run_task, spec.fn, spec.item,
-            spec.want_trace, spec.want_audit,
-            spec.want_metrics, spec.want_profile,
-        )
+        future = self._pool.submit(run_task, spec.fn, spec.item, spec.sinks)
+        future.add_done_callback(_stamp_settled)
+        return future
 
     def result(self, handle: Future, timeout_s: float | None) -> TaskPayload:
         try:
@@ -65,14 +68,16 @@ class ProcessPoolBackend(ExecBackend):
         except BrokenExecutor as exc:
             raise WorkerLostError(exc) from exc
 
+    def settled_at(self, handle: Future) -> float | None:
+        return getattr(handle, "settled_at", None)
+
     def cancel(self, handle: Future) -> None:
         handle.cancel()
 
     def recover(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
-        count("pool.rebuilt")
-        metric_inc("pool.rebuilt", operational=True)
+        inc("pool.rebuilt", operational=True)
         self._pool = ProcessPoolExecutor(max_workers=self._n_workers)
 
     def needs_resubmit(self, handle: Future) -> bool:

@@ -27,10 +27,11 @@ The fleet survives its workers:
   managed fleets, waits for replacements to reconnect); queued tasks
   drain onto whichever workers are alive.
 
-Wire protocol (version 1): each frame is a 4-byte big-endian length
+Wire protocol (version 2): each frame is a 4-byte big-endian length
 followed by a pickled dict.  Kinds: ``hello``/``welcome`` (handshake),
-``task`` (parent→worker: a task id plus the function, item, and
-observability wants), ``result``/``task_error`` (worker→parent),
+``task`` (parent→worker: a task id plus the function, item, and the
+names of the parent's observer sinks), ``result``/``task_error``
+(worker→parent; a result carries the ``(value, snapshot)`` payload),
 ``heartbeat`` (worker→parent), ``shutdown`` (parent→worker).  Tasks run
 through :func:`~repro.exec.backends.base.run_task`, so results carry
 the same observability payloads as every other transport and the
@@ -42,10 +43,11 @@ Workers are started with ``python -m repro.exec.backends.sockets
 worker entry point — or via the ``repro-exp worker`` CLI verb, which
 wraps the same :func:`run_worker`.
 
-Fleet health lands in *operational* telemetry only (``fleet.*``
-counters and gauges): reader and monitor threads tally internally and
-the driver thread flushes, because metrics contexts do not cross
-threads.
+Fleet health lands in *operational* metrics only (``fleet.*`` counters
+and gauges): reader and monitor threads tally internally and the
+runner's thread flushes, because observer contexts do not cross
+threads.  The reader thread stamps each result's receipt time, which
+:meth:`SocketWorkerBackend.settled_at` reports.
 """
 
 from __future__ import annotations
@@ -61,9 +63,7 @@ import threading
 import time
 from collections import deque
 
-from ...obs.metrics import inc as metric_inc
-from ...obs.metrics import set_gauge
-from ..timing import count
+from ...obs.observer import inc, set_gauge
 from .base import (
     BackendTimeoutError,
     ExecBackend,
@@ -81,9 +81,11 @@ __all__ = [
     "run_worker",
 ]
 
-#: Bumped whenever the frame layout or message kinds change; a worker
-#: whose hello carries a different version is refused at handshake.
-PROTOCOL_VERSION = 1
+#: Bumped whenever the frame layout, message kinds or payload shape
+#: change; a worker whose hello carries a different version is refused
+#: at handshake.  2: tasks name observer sinks, results are
+#: ``(value, snapshot)``.
+PROTOCOL_VERSION = 2
 
 _HANDSHAKE_TIMEOUT_S = 10.0
 
@@ -173,12 +175,14 @@ class _FleetHandle:
 
     __slots__ = (
         "task_id", "spec", "event", "payload", "error", "lost", "cancelled",
+        "settled_at",
     )
 
     def __init__(self, task_id: int, spec: TaskSpec) -> None:
         self.task_id = task_id
         self.spec = spec
         self.event = threading.Event()
+        self.settled_at: float | None = None
         self.payload: TaskPayload | None = None
         self.error: BaseException | None = None
         self.lost: WorkerDiedError | None = None
@@ -392,7 +396,7 @@ class SocketWorkerBackend(ExecBackend):
                 continue
             if kind not in ("result", "task_error"):
                 continue
-            worker.last_beat = time.monotonic()
+            worker.last_beat = received = time.monotonic()
             with self._lock:
                 handle = worker.current
                 worker.current = None
@@ -410,6 +414,7 @@ class SocketWorkerBackend(ExecBackend):
                                     str(err.get("error_type")),
                                     str(err.get("error_message")),
                                 )
+                        handle.settled_at = received
                         handle.event.set()
                 self._pump_locked()
 
@@ -481,10 +486,7 @@ class SocketWorkerBackend(ExecBackend):
                     "task_id": handle.task_id,
                     "fn": spec.fn,
                     "item": spec.item,
-                    "wants": (
-                        spec.want_trace, spec.want_audit,
-                        spec.want_metrics, spec.want_profile,
-                    ),
+                    "sinks": spec.sinks,
                 }, worker.send_lock)
             except (OSError, pickle.PicklingError, TypeError,
                     AttributeError) as exc:
@@ -534,6 +536,9 @@ class SocketWorkerBackend(ExecBackend):
             raise handle.error
         assert handle.payload is not None
         return handle.payload
+
+    def settled_at(self, handle: _FleetHandle) -> float | None:
+        return handle.settled_at
 
     def cancel(self, handle: _FleetHandle) -> None:
         with self._lock:
@@ -606,7 +611,7 @@ class SocketWorkerBackend(ExecBackend):
                     pass
             self._tmpdir = None
 
-    # -- telemetry (thread-safe tally, driver-thread flush) ------------
+    # -- metrics (thread-safe tally, runner-thread flush) --------------
     def _note(self, name: str) -> None:
         """Tally one fleet event (caller holds the lock)."""
         self._tally[name] = self._tally.get(name, 0) + 1
@@ -619,7 +624,7 @@ class SocketWorkerBackend(ExecBackend):
         """Publish tallied fleet events from the driver thread.
 
         Reader/monitor threads cannot record into the driver's
-        contextvar-scoped telemetry and metrics, so they tally under
+        contextvar-scoped observer, so they tally under
         the fleet lock and the driver flushes whenever it touches the
         backend.  Fleet health is wall-clock dependent: operational by
         contract.
@@ -629,8 +634,7 @@ class SocketWorkerBackend(ExecBackend):
             live = self._live_count()
             queued = len(self._pending)
         for name, n in pending.items():
-            count(name, n)
-            metric_inc(name, n, operational=True)
+            inc(name, n, operational=True)
         set_gauge("fleet.workers_live", live, operational=True)
         set_gauge("fleet.queue_depth", queued, operational=True)
 
@@ -646,7 +650,7 @@ def run_worker(
 
     Connects to ``address``, handshakes with ``token``, then loops:
     receive a task, run it through :func:`~repro.exec.backends.base.
-    run_task`, send back the observability-bearing payload (or the
+    run_task`, send back its ``(value, snapshot)`` payload (or the
     task's exception).  A daemon thread heartbeats every
     ``heartbeat_s`` so long solves don't read as hangs.  Returns a
     process exit code.
@@ -697,8 +701,7 @@ def run_worker(
                 continue
             task_id = msg.get("task_id")
             try:
-                wants = tuple(msg.get("wants") or (False,) * 4)
-                payload = run_task(msg["fn"], msg["item"], *wants)
+                payload = run_task(msg["fn"], msg["item"], msg["sinks"])
                 out = {"kind": "result", "task_id": task_id,
                        "payload": payload}
             except Exception as exc:

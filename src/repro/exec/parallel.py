@@ -26,7 +26,10 @@ every backend:
 
 * per-task deadlines are measured **from submission**, not from when the
   parent starts waiting on that index — every concurrent cell gets the
-  same wall-clock budget;
+  same wall-clock budget — and judged by when the payload *arrived*
+  (:meth:`~repro.exec.backends.base.ExecBackend.settled_at`), so a
+  cell that finished late while the parent was busy (e.g. journaling
+  an earlier cell) still times out;
 * a worker death (a worker killed by the OOM killer, ``os._exit``, a
   segfault — surfaced by the backend as
   :class:`~repro.exec.backends.base.WorkerLostError`) is detected
@@ -41,19 +44,14 @@ With ``max_workers <= 1`` (and no injected backend) the runner degrades
 to a plain in-process loop — no pickling, no subprocesses — which is
 also the benchmark harness's measured path.
 
-Telemetry: each worker runs its task under a fresh
-:class:`~repro.exec.timing.Telemetry` and ships the snapshot back with
-the result (:func:`~repro.exec.backends.base.run_task`); the parent
-folds all snapshots into its own active telemetry, so cache hit
-counters and phase times survive process boundaries.  Trace events,
-solver audits, operational metrics
-(:class:`~repro.obs.metrics.Metrics`), and cProfile aggregates
-(:class:`~repro.obs.profiling.ProfileCollector`) travel the same way:
-when the parent has one active, each worker activates a fresh one, ships
-the snapshot back, and the parent folds them in *submission order* — so
-a parallel run's trace, audit, and deterministic metric subset are
-identical to a serial run's (modulo re-sequencing, which is itself
-deterministic), whichever transport carried them.
+Observation: when the parent has an :class:`~repro.obs.observer.
+Observer` with sinks, each worker runs its task under a fresh observer
+with the same sinks and ships one snapshot back with the result
+(:func:`~repro.exec.backends.base.run_task`); the parent folds the
+snapshots in *submission order* — so a parallel run's trace, audit, and
+deterministic metric subset are identical to a serial run's (modulo
+re-sequencing, which is itself deterministic), whichever transport
+carried them.  With no sinks, workers build and ship nothing.
 """
 
 from __future__ import annotations
@@ -64,12 +62,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
-from ..obs.audit import current_audit
-from ..obs.metrics import current_metrics
-from ..obs.metrics import inc as metric_inc
-from ..obs.metrics import observe as metric_observe
-from ..obs.profiling import current_profile
-from ..obs.recorder import current_recorder
+from ..obs.observer import current_observer, inc, observe
 from .backends.base import (
     BackendTimeoutError,
     ExecBackend,
@@ -77,7 +70,6 @@ from .backends.base import (
     WorkerLostError,
 )
 from .backends.pool import ProcessPoolBackend
-from .timing import count, current_telemetry
 
 __all__ = [
     "ParallelRunner",
@@ -174,7 +166,7 @@ def _run_batch(packed: tuple) -> list[dict]:
     schedule as the unbatched map — :func:`retry_delay_s` keyed by the
     item's global index — and settles into a structured doc, so one
     failing item never discards its batch-mates' results.  The retry and
-    failure counters land in the worker telemetry that
+    failure counters land in the worker observer that
     :func:`~repro.exec.backends.base.run_task` snapshots around the
     whole batch.
     """
@@ -191,8 +183,7 @@ def _run_batch(packed: tuple) -> list[dict]:
             except Exception as exc:
                 attempt += 1
                 if attempt > retries:
-                    count("task.failed")
-                    metric_inc("task.failed", operational=True)
+                    inc("task.failed", operational=True)
                     docs.append({
                         "ok": False,
                         "error_type": type(exc).__name__,
@@ -200,8 +191,7 @@ def _run_batch(packed: tuple) -> list[dict]:
                         "attempts": attempt,
                     })
                     break
-                count("task.retry")
-                metric_inc("task.retry", operational=True)
+                inc("task.retry", operational=True)
                 time.sleep(retry_delay_s(seed, index, attempt, backoff_s))
     return docs
 
@@ -351,8 +341,7 @@ class ParallelRunner:
                 except Exception as exc:
                     attempt += 1
                     if attempt > self.retries:
-                        count("task.failed")
-                        metric_inc("task.failed", operational=True)
+                        inc("task.failed", operational=True)
                         outcome = CellOutcome(
                             index=i, ok=False,
                             error_type=type(exc).__name__,
@@ -362,8 +351,7 @@ class ParallelRunner:
                             error=exc,
                         )
                         break
-                    count("task.retry")
-                    metric_inc("task.retry", operational=True)
+                    inc("task.retry", operational=True)
                     time.sleep(
                         retry_delay_s(self.backoff_seed, i, attempt, self.backoff_s)
                     )
@@ -472,15 +460,8 @@ class ParallelRunner:
         if not items:
             return []
         outcomes: list[CellOutcome | None] = [None] * len(items)
-        parent = current_telemetry()
-        recorder = current_recorder()
-        audit = current_audit()
-        metrics = current_metrics()
-        profile = current_profile()
-        want_trace = recorder is not None
-        want_audit = audit is not None
-        want_metrics = metrics is not None
-        want_profile = profile is not None
+        observer = current_observer()
+        sinks = observer.sinks
         n_workers = min(self.max_workers, len(items))
 
         backend = self.backend
@@ -496,11 +477,9 @@ class ParallelRunner:
             # The deadline starts at (re-)submission: every attempt of
             # every cell gets the same wall-clock budget, regardless of
             # when the parent reaches index i in its wait loop.
-            handles[i] = backend.submit(TaskSpec(
-                index=i, fn=fn, item=items[i],
-                want_trace=want_trace, want_audit=want_audit,
-                want_metrics=want_metrics, want_profile=want_profile,
-            ))
+            handles[i] = backend.submit(
+                TaskSpec(index=i, fn=fn, item=items[i], sinks=sinks)
+            )
             now = time.monotonic()
             if not started[i]:
                 started[i] = now
@@ -516,10 +495,18 @@ class ParallelRunner:
                         wait = None
                         if deadlines[i] is not None:
                             wait = max(0.0, deadlines[i] - time.monotonic())
-                        (
-                            result, snapshot, batch, audit_snap,
-                            metrics_snap, profile_snap,
-                        ) = backend.result(handles[i], wait)
+                        result, snapshot = backend.result(handles[i], wait)
+                        settled = backend.settled_at(handles[i])
+                        if (
+                            deadlines[i] is not None
+                            and settled is not None
+                            and settled > deadlines[i]
+                        ):
+                            # Arrived while the parent was busy with an
+                            # earlier index: late is late.
+                            raise BackendTimeoutError(TimeoutError(
+                                f"task {i} completed after its deadline"
+                            ))
                         elapsed = time.monotonic() - started[i]
                         outcomes[i] = CellOutcome(
                             index=i, ok=True, value=result, attempts=attempt + 1,
@@ -529,28 +516,19 @@ class ParallelRunner:
                         # the loop consumes handles by index, so the
                         # merged stream is stable regardless of which
                         # worker finished first.  An in-process backend
-                        # ships None snapshots (the parent's own context
+                        # ships None snapshots (the parent's own observer
                         # already recorded everything live).
-                        if parent is not None and snapshot is not None:
-                            parent.merge(snapshot)
-                        if recorder is not None and batch is not None:
-                            recorder.extend(batch)
-                        if audit is not None and audit_snap is not None:
-                            audit.extend(audit_snap)
-                        if metrics is not None and metrics_snap is not None:
-                            metrics.merge(metrics_snap)
-                        if profile is not None and profile_snap is not None:
-                            profile.merge(profile_snap)
+                        if snapshot is not None:
+                            observer.merge(snapshot)
                         # Dispatch latency includes queueing and IPC, so
                         # it is wall-clock-only: operational by contract.
-                        metric_observe(
+                        observe(
                             "task.dispatch_wall_s", elapsed, operational=True
                         )
                         break
                     except BackendTimeoutError as exc:
                         backend.cancel(handles[i])
-                        count("task.deadline_expired")
-                        metric_inc("task.deadline_expired", operational=True)
+                        inc("task.deadline_expired", operational=True)
                         attempt, failed = self._note_failure(
                             i, attempt, "timed out", exc.cause, keep_going,
                             started, outcomes,
@@ -612,14 +590,12 @@ class ParallelRunner:
         """
         attempt += 1
         if attempt <= self.retries:
-            count("task.retry")
-            metric_inc("task.retry", operational=True)
+            inc("task.retry", operational=True)
             time.sleep(
                 retry_delay_s(self.backoff_seed, index, attempt, self.backoff_s)
             )
             return attempt, False
-        count("task.failed")
-        metric_inc("task.failed", operational=True)
+        inc("task.failed", operational=True)
         if keep_going:
             outcomes[index] = CellOutcome(
                 index=index, ok=False,

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..obs.events import CapExceededEvent
-from ..obs.recorder import emit
+from ..obs.observer import emit
 from .configuration import Configuration, ConfigPoint, measure_task
 from .performance import TaskKernel, TaskTimeModel
 from .power import SocketPowerModel

@@ -1,6 +1,12 @@
 """repro.obs — structured observability: tracing, audit, metrics, provenance.
 
-Several pillars, all contextvar-activated and zero-cost when disabled:
+One channel carries every in-run observation: the active
+:class:`Observer` (:mod:`.observer`), activated with
+:func:`use_observer` and read with :func:`current_observer`, holds up to
+four typed sinks — metrics, solve audit, trace recorder, profile — and
+ships them across worker processes as one snapshot.  With no observer
+active, each instrumentation site costs one contextvar read.  The
+pillars:
 
 * **Event tracing** (:mod:`.events`, :mod:`.recorder`, :mod:`.export`) —
   the simulator engine, the Conductor runtime, RAPL, and the LP solver
@@ -8,12 +14,12 @@ Several pillars, all contextvar-activated and zero-cost when disabled:
   render Chrome trace-event JSON (loadable in Perfetto) and JSONL.
 * **Solver audit** (:mod:`.audit`) — every LP/MILP solve records model
   shape, iterations, status, objective, wall time, and provenance
-  (cold / parametric re-solve / cache hit) into a :class:`SolveAudit`
-  ledger.
-* **Operational metrics** (:mod:`.metrics`) — counters, gauges, and
-  fixed-bucket histograms with deterministic merge semantics, plus JSON
-  and Prometheus text exporters; the deterministic subset is
-  byte-identical serial vs. parallel.
+  (cold / parametric re-solve) into a :class:`SolveAudit` ledger.
+* **Operational metrics** (:mod:`.metrics`) — counters, gauges,
+  fixed-bucket histograms and the ``--timings`` phase spans, with
+  deterministic merge semantics, plus JSON and Prometheus text
+  exporters; the deterministic subset is byte-identical serial vs.
+  parallel.
 * **Live progress** (:mod:`.progress`) — out-of-band sweep heartbeats
   (cells done/total, ETA, cache hit-rate) on a TTY-aware stderr line and
   a ``progress.jsonl`` stream.
@@ -23,19 +29,12 @@ Several pillars, all contextvar-activated and zero-cost when disabled:
   (config hash, seed, model-layer version, package version, platform)
   stamped into saved artifacts and cache entries.
 
-The package is stdlib-only and sits at the bottom of the layering,
-beside :mod:`repro.exec.timing`: every other layer may import it.
+The package is stdlib-only and sits at the bottom of the layering:
+every other layer may import it.
 See ``docs/observability.md`` for the event taxonomy and workflows.
 """
 
-from .audit import (
-    SolveAudit,
-    SolveRecord,
-    current_audit,
-    note_cache,
-    record_solve,
-    use_audit,
-)
+from .audit import SolveAudit, SolveRecord, use_audit
 from .events import (
     EVENT_KINDS,
     CapExceededEvent,
@@ -58,17 +57,22 @@ from .metrics import (
     METRICS_SCHEMA_VERSION,
     Histogram,
     Metrics,
-    current_metrics,
     prometheus_text,
-    use_metrics,
     validate_metrics_doc,
 )
-from .profiling import (
-    ProfileCollector,
-    current_profile,
-    profile_block,
-    use_profile,
+from .observer import (
+    OBSERVER_SCHEMA_VERSION,
+    Observer,
+    current_observer,
+    emit,
+    inc,
+    observe,
+    profiled,
+    set_gauge,
+    span,
+    use_observer,
 )
+from .profiling import ProfileCollector
 from .progress import (
     PROGRESS_SCHEMA_VERSION,
     ProgressReporter,
@@ -82,13 +86,7 @@ from .provenance import (
     read_manifest,
     write_manifest,
 )
-from .recorder import (
-    DEFAULT_CAPACITY,
-    TraceRecorder,
-    current_recorder,
-    emit,
-    use_recorder,
-)
+from .recorder import DEFAULT_CAPACITY, TraceRecorder
 
 __all__ = [
     "CapExceededEvent",
@@ -102,6 +100,8 @@ __all__ = [
     "METRICS_SCHEMA_VERSION",
     "Metrics",
     "MpiWaitEvent",
+    "OBSERVER_SCHEMA_VERSION",
+    "Observer",
     "PROGRESS_SCHEMA_VERSION",
     "ProfileCollector",
     "ProgressReporter",
@@ -115,23 +115,20 @@ __all__ = [
     "chrome_trace",
     "collect_manifest",
     "config_hash",
-    "current_audit",
-    "current_metrics",
-    "current_profile",
-    "current_recorder",
+    "current_observer",
     "default_progress_stream",
     "emit",
     "export_chrome_trace",
     "export_jsonl",
-    "note_cache",
-    "profile_block",
+    "inc",
+    "observe",
+    "profiled",
     "prometheus_text",
     "read_manifest",
-    "record_solve",
+    "set_gauge",
+    "span",
     "use_audit",
-    "use_metrics",
-    "use_profile",
-    "use_recorder",
+    "use_observer",
     "validate_chrome_trace",
     "validate_metrics_doc",
     "validate_trace_file",

@@ -1,18 +1,16 @@
-"""Solver audit ledger: one record per LP/MILP solve, plus cache traffic.
+"""Solver audit ledger: one record per LP/MILP solve.
 
 The LP bound is only as trustworthy as the solves behind it.  The audit
 ledger records, for every :class:`~repro.core.solver.FrozenProgram`
 solve, the model shape (rows, columns, nonzeros), the simplex iteration
 count, termination status, objective, wall time, and *provenance* — a
-cold first solve versus a parametric RHS re-solve versus a
-content-addressed cache hit that skipped the solver entirely.
+cold first solve versus a parametric RHS re-solve.  Cache hits never
+reach the solver; they are counted by the ``cache.hit`` metric.
 
-Activation mirrors :class:`~repro.exec.timing.Telemetry`: instrumented
-code calls :func:`record_solve` / :func:`note_cache`, which are no-ops
-unless a :class:`SolveAudit` is active in the current context via
-:func:`use_audit`.  Parallel workers activate fresh ledgers and ship
-:meth:`SolveAudit.to_dicts` back; the parent folds them in submission
-order with :meth:`SolveAudit.extend`.
+A :class:`SolveAudit` is the ``audit`` sink of an
+:class:`~repro.obs.observer.Observer`; workers ship it home inside the
+observer's snapshot (:meth:`SolveAudit.to_dicts` /
+:meth:`SolveAudit.extend`).
 
 Stdlib-only: ``repro.core.solver`` imports this module, so it must not
 import anything from ``repro`` or third-party packages.
@@ -20,17 +18,12 @@ import anything from ``repro`` or third-party packages.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 __all__ = [
     "SolveRecord",
     "SolveAudit",
-    "current_audit",
     "use_audit",
-    "record_solve",
-    "note_cache",
 ]
 
 
@@ -84,22 +77,14 @@ class SolveRecord:
 
 
 class SolveAudit:
-    """Ordered ledger of solve records plus cache hit/miss tallies."""
+    """Ordered ledger of solve records."""
 
     def __init__(self) -> None:
         self.records: list[SolveRecord] = []
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     # ------------------------------------------------------------------
     def record(self, record: SolveRecord) -> None:
         self.records.append(record)
-
-    def note_cache(self, hit: bool) -> None:
-        if hit:
-            self.cache_hits += 1
-        else:
-            self.cache_misses += 1
 
     def __len__(self) -> int:
         return len(self.records)
@@ -110,18 +95,12 @@ class SolveAudit:
     # ------------------------------------------------------------------
     def to_dicts(self) -> dict:
         """JSON-safe snapshot (embedded in ``--timings-json`` payloads)."""
-        return {
-            "solves": [r.to_dict() for r in self.records],
-            "cache": {"hits": self.cache_hits, "misses": self.cache_misses},
-        }
+        return {"solves": [r.to_dict() for r in self.records]}
 
     def extend(self, snapshot: dict) -> None:
         """Fold a :meth:`to_dicts` snapshot (e.g. from a worker) in."""
         for doc in snapshot.get("solves", []):
             self.records.append(SolveRecord.from_dict(doc))
-        cache = snapshot.get("cache", {})
-        self.cache_hits += int(cache.get("hits", 0))
-        self.cache_misses += int(cache.get("misses", 0))
 
     def table(self) -> str:
         """Human-readable audit table (the ``repro-exp audit`` output)."""
@@ -147,42 +126,15 @@ class SolveAudit:
                 f"{len(self.records)} solve(s), "
                 f"{self.total_wall_s():.3f}s in the solver"
             )
-        lines.append(
-            f"cache: {self.cache_hits} hit(s), {self.cache_misses} miss(es)"
-        )
         return "\n".join(lines)
 
 
-#: The active audit ledger (None = auditing disabled).
-_current: ContextVar[SolveAudit | None] = ContextVar(
-    "repro_solve_audit", default=None
-)
-
-
-def current_audit() -> SolveAudit | None:
-    """The ledger active in this context, or None when auditing is off."""
-    return _current.get()
-
-
-@contextmanager
 def use_audit(audit: SolveAudit):
-    """Activate ``audit`` for the duration of the with-block."""
-    token = _current.set(audit)
-    try:
-        yield audit
-    finally:
-        _current.reset(token)
+    """Add ``audit`` to the active observer for a with-block.
 
+    The observer's other sinks stay as they are; pool workers ship their
+    solve records back into ``audit`` like any other sink's data.
+    """
+    from .observer import current_observer, use_observer
 
-def record_solve(record: SolveRecord) -> None:
-    """Append to the active ledger (no-op when auditing is disabled)."""
-    audit = _current.get()
-    if audit is not None:
-        audit.record(record)
-
-
-def note_cache(hit: bool) -> None:
-    """Tally a cache hit/miss on the active ledger (no-op when disabled)."""
-    audit = _current.get()
-    if audit is not None:
-        audit.note_cache(hit)
+    return use_observer(replace(current_observer(), audit=audit))

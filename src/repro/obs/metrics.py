@@ -1,9 +1,8 @@
 """Typed operational metrics: counters, gauges, fixed-bucket histograms.
 
-Where :mod:`repro.exec.timing` answers "where did the seconds go" and the
-trace recorder answers "what happened, in order", this module answers the
-fleet operator's question: *how much, how fast, how healthy* — as
-aggregable numbers that merge deterministically across workers and
+Where the trace recorder answers "what happened, in order", this module
+answers the fleet operator's question: *how much, how fast, how healthy*
+— as aggregable numbers that merge deterministically across workers and
 export to standard tooling (a JSON snapshot, Prometheus text
 exposition).
 
@@ -14,15 +13,15 @@ Three metric types, all name-addressed:
 * **gauges** — last-written values (``sweep.cells_total``);
 * **histograms** — fixed upper-bound buckets with exact ``count`` /
   ``sum`` / ``min`` / ``max``, Prometheus-shaped (``solve.wall_s``,
-  ``cell.wall_s``, ``solve.iterations``).
+  ``cell.wall_s``, ``solve.iterations``, and the ``span.*`` phase
+  timings behind ``--timings``).
 
-Activation mirrors :class:`~repro.exec.timing.Telemetry`: instrumented
-code calls :func:`inc` / :func:`observe` / :func:`set_gauge`, which are
-no-ops unless a :class:`Metrics` object is active in the current context
-via :func:`use_metrics` — with metrics off, each site costs one
-contextvar read.  Parallel workers activate fresh :class:`Metrics`, ship
-:meth:`Metrics.to_dict` snapshots back, and the parent folds them with
-:meth:`Metrics.merge` in submission order.
+A :class:`Metrics` registry is the ``metrics`` sink of an
+:class:`~repro.obs.observer.Observer`: instrumented code calls
+:func:`repro.obs.observer.inc` / ``observe`` / ``set_gauge`` / ``span``,
+which are no-ops unless the active observer has a registry.  Parallel
+workers ship :meth:`Metrics.to_dict` inside the observer snapshot, and
+the parent folds them with :meth:`Metrics.merge` in submission order.
 
 **The determinism contract.**  Every metric is either *deterministic* —
 a pure function of what was computed (task counts, solve totals, cache
@@ -44,10 +43,7 @@ Stdlib-only, like every ``repro.obs`` module.
 from __future__ import annotations
 
 import json
-import time
 from bisect import bisect_left
-from contextlib import contextmanager
-from contextvars import ContextVar
 
 __all__ = [
     "METRICS_SCHEMA_VERSION",
@@ -56,12 +52,6 @@ __all__ = [
     "COUNT_BUCKETS",
     "Histogram",
     "Metrics",
-    "current_metrics",
-    "use_metrics",
-    "inc",
-    "set_gauge",
-    "observe",
-    "timed",
     "prometheus_text",
     "validate_metrics_doc",
 ]
@@ -309,70 +299,6 @@ class Metrics:
                 )
             )
         return "\n".join(lines)
-
-
-#: The active metrics registry (None = metrics disabled).
-_current: ContextVar[Metrics | None] = ContextVar("repro_metrics", default=None)
-
-
-def current_metrics() -> Metrics | None:
-    """The metrics active in this context, or None when disabled."""
-    return _current.get()
-
-
-@contextmanager
-def use_metrics(metrics: Metrics):
-    """Activate ``metrics`` for the duration of the with-block."""
-    token = _current.set(metrics)
-    try:
-        yield metrics
-    finally:
-        _current.reset(token)
-
-
-def inc(name: str, n: int = 1, operational: bool = False) -> None:
-    """Bump a counter on the active metrics (no-op when disabled)."""
-    metrics = _current.get()
-    if metrics is not None:
-        metrics.inc(name, n, operational=operational)
-
-
-def set_gauge(name: str, value: int | float, operational: bool = False) -> None:
-    """Set a gauge on the active metrics (no-op when disabled)."""
-    metrics = _current.get()
-    if metrics is not None:
-        metrics.set_gauge(name, value, operational=operational)
-
-
-def observe(
-    name: str,
-    value: int | float,
-    buckets: tuple[float, ...] = TIME_BUCKETS_S,
-    operational: bool = False,
-) -> None:
-    """Record a histogram observation (no-op when disabled)."""
-    metrics = _current.get()
-    if metrics is not None:
-        metrics.observe(name, value, buckets=buckets, operational=operational)
-
-
-@contextmanager
-def timed(name: str, buckets: tuple[float, ...] = TIME_BUCKETS_S):
-    """Time a block into wall-clock histogram ``name`` (always operational).
-
-    No-op (beyond one contextvar read) when metrics are disabled.
-    """
-    metrics = _current.get()
-    if metrics is None:
-        yield
-        return
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        metrics.observe(
-            name, time.perf_counter() - start, buckets=buckets, operational=True
-        )
 
 
 # ----------------------------------------------------------------------

@@ -5,15 +5,15 @@
 cell and aggregates the per-cell (and per-worker) statistics into one
 fleet-wide view:
 
-* :func:`profile_block` — a contextmanager that profiles its block into
-  the active :class:`ProfileCollector` (a no-op, beyond one contextvar
-  read, when none is active), used by the scenario executor around each
-  cell computation;
+* :func:`repro.obs.observer.profiled` — a contextmanager that profiles
+  its block into the active observer's ``profile`` sink (a no-op, beyond
+  one contextvar read, when there is none), used by the scenario
+  executor around each cell computation;
 * :class:`ProfileCollector` — accumulates per-function
   ``(calls, total, cumulative)`` seconds keyed by
   ``file:line(function)``; snapshots are plain JSON-safe dicts, so
-  workers ship them back with their results and the parent merges them
-  exactly like telemetry;
+  workers ship them back inside their observer snapshot and the parent
+  merges them like every other sink;
 * :meth:`ProfileCollector.table` — the run artifact: a top-N table
   sorted by cumulative seconds, the classic ``pstats`` view aggregated
   across every cell of the sweep.
@@ -29,19 +29,8 @@ from __future__ import annotations
 
 import cProfile
 import pstats
-from contextlib import contextmanager
-from contextvars import ContextVar
 
-__all__ = [
-    "PROFILE_SCHEMA_VERSION",
-    "ProfileCollector",
-    "current_profile",
-    "use_profile",
-    "profile_block",
-]
-
-#: Version of the :meth:`ProfileCollector.to_dict` snapshot layout.
-PROFILE_SCHEMA_VERSION = 1
+__all__ = ["ProfileCollector"]
 
 
 def _func_key(func: tuple) -> str:
@@ -80,7 +69,6 @@ class ProfileCollector:
     def to_dict(self) -> dict:
         """JSON-safe snapshot (what workers ship back)."""
         return {
-            "version": PROFILE_SCHEMA_VERSION,
             "blocks": self.blocks,
             "stats": {
                 key: [calls, tottime, cumtime]
@@ -89,18 +77,7 @@ class ProfileCollector:
         }
 
     def merge(self, snapshot: dict) -> None:
-        """Fold a :meth:`to_dict` snapshot (e.g. from a worker) in.
-
-        Raises :class:`ValueError` on a missing or mismatched schema
-        ``version`` — profiles from a different layout must not be
-        silently summed.
-        """
-        version = snapshot.get("version")
-        if version != PROFILE_SCHEMA_VERSION:
-            raise ValueError(
-                f"profile snapshot version {version!r} does not match "
-                f"schema version {PROFILE_SCHEMA_VERSION}"
-            )
+        """Fold a :meth:`to_dict` snapshot (e.g. from a worker) in."""
         self.blocks += int(snapshot.get("blocks", 0))
         for key, (calls, tottime, cumtime) in snapshot.get("stats", {}).items():
             entry = self.stats.setdefault(key, [0, 0.0, 0.0])
@@ -137,46 +114,3 @@ class ProfileCollector:
                 f"{calls:>10} {tottime:>10.4f} {cumtime:>10.4f}  {key}"
             )
         return "\n".join(lines)
-
-
-#: The active profile collector (None = profiling disabled).
-_current: ContextVar[ProfileCollector | None] = ContextVar(
-    "repro_profile_collector", default=None
-)
-
-
-def current_profile() -> ProfileCollector | None:
-    """The collector active in this context, or None when profiling is off."""
-    return _current.get()
-
-
-@contextmanager
-def use_profile(collector: ProfileCollector):
-    """Activate ``collector`` for the duration of the with-block."""
-    token = _current.set(collector)
-    try:
-        yield collector
-    finally:
-        _current.reset(token)
-
-
-@contextmanager
-def profile_block():
-    """Run the block under cProfile into the active collector.
-
-    A no-op when no collector is active — the sweep executor wraps every
-    cell in this, and pays nothing unless ``--profile`` turned the
-    collector on.  Each block gets its own :class:`cProfile.Profile`
-    (profilers must not nest), folded in when the block exits.
-    """
-    collector = _current.get()
-    if collector is None:
-        yield
-        return
-    profile = cProfile.Profile()
-    profile.enable()
-    try:
-        yield
-    finally:
-        profile.disable()
-        collector.add_profile(profile)

@@ -55,10 +55,10 @@ class ProgressReporter:
         TTY/``--quiet`` decision.
     jsonl_path:
         Heartbeat JSONL file, or None to disable the file sink.
-    telemetry:
-        An optional :class:`~repro.exec.timing.Telemetry` to read
+    metrics:
+        An optional :class:`~repro.obs.metrics.Metrics` registry to read
         ``cache.hit``/``cache.miss``/``task.retry`` counters from at
-        each heartbeat (the CLI passes its active telemetry; parents
+        each heartbeat (the CLI passes its observer's registry; parents
         merge worker snapshots in submission order, so the counters are
         current whenever a cell settles).
     min_interval_s:
@@ -79,7 +79,7 @@ class ProgressReporter:
         label: str = "sweep",
         stream=None,
         jsonl_path: str | Path | None = None,
-        telemetry=None,
+        metrics=None,
         min_interval_s: float = 0.0,
         clock=time.monotonic,
         depth_fn=None,
@@ -90,7 +90,7 @@ class ProgressReporter:
         self.label = label
         self.stream = stream
         self.jsonl_path = Path(jsonl_path) if jsonl_path is not None else None
-        self.telemetry = telemetry
+        self.metrics = metrics
         self.min_interval_s = min_interval_s
         self._clock = clock
         self.depth_fn = depth_fn
@@ -104,12 +104,12 @@ class ProgressReporter:
 
     # ------------------------------------------------------------------
     def _counters(self) -> dict[str, int]:
-        if self.telemetry is None:
+        if self.metrics is None:
             return {}
         return {
-            "cache_hits": self.telemetry.counter("cache.hit"),
-            "cache_misses": self.telemetry.counter("cache.miss"),
-            "retries": self.telemetry.counter("task.retry"),
+            "cache_hits": self.metrics.counter("cache.hit"),
+            "cache_misses": self.metrics.counter("cache.miss"),
+            "retries": self.metrics.counter("task.retry"),
         }
 
     def _record(self) -> dict:

@@ -1,11 +1,11 @@
-"""The event sink: a ring-buffer recorder, contextvar-activated.
+"""The event sink: a ring-buffer trace recorder.
 
-Mirrors the activation pattern of :class:`repro.exec.timing.Telemetry`:
-instrumented code calls :func:`emit` (or checks :func:`current_recorder`
-once and emits directly on hot paths), which is a no-op unless a
-:class:`TraceRecorder` has been activated for the current context via
-:func:`use_recorder` — so with tracing off, the only cost at every
-instrumentation site is one contextvar read.
+A :class:`TraceRecorder` is the ``recorder`` sink of an
+:class:`~repro.obs.observer.Observer`: instrumented code calls
+:func:`repro.obs.observer.emit` (or reads ``current_observer().recorder``
+once and emits directly on hot paths), which is a no-op unless the
+active observer has a recorder — so with tracing off, the only cost at
+every instrumentation site is one contextvar read.
 
 The buffer is a bounded ``deque``: a runaway run overwrites its oldest
 events instead of exhausting memory, and ``dropped`` reports how many
@@ -15,24 +15,21 @@ monotone per-recorder sequence number, and ``run``, the label of the
 enclosing :meth:`TraceRecorder.run_scope` — which makes worker batches
 picklable and merges deterministic.
 
-Parallel workers each activate a fresh recorder, ship
-:meth:`TraceRecorder.snapshot` back with their result, and the parent
-folds the batches in submission order via :meth:`TraceRecorder.extend`
-— so a parallel run's merged event stream is stable across executions.
+Parallel workers each record into a fresh recorder, ship
+:meth:`TraceRecorder.snapshot` back inside their observer snapshot, and
+the parent folds the batches in submission order via
+:meth:`TraceRecorder.extend` — so a parallel run's merged event stream
+is stable across executions.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
-from contextvars import ContextVar
 
 __all__ = [
     "DEFAULT_CAPACITY",
     "TraceRecorder",
-    "current_recorder",
-    "use_recorder",
-    "emit",
 ]
 
 #: Default ring-buffer size: generous for any quick run, bounded for all.
@@ -107,31 +104,3 @@ class TraceRecorder:
 
     def events_for_run(self, label: str) -> list[dict]:
         return [e for e in self._events if e["run"] == label]
-
-
-#: The active recorder for this context (None = tracing disabled).
-_current: ContextVar[TraceRecorder | None] = ContextVar(
-    "repro_trace_recorder", default=None
-)
-
-
-def current_recorder() -> TraceRecorder | None:
-    """The recorder active in this context, or None when tracing is off."""
-    return _current.get()
-
-
-@contextmanager
-def use_recorder(recorder: TraceRecorder):
-    """Activate ``recorder`` for the duration of the with-block."""
-    token = _current.set(recorder)
-    try:
-        yield recorder
-    finally:
-        _current.reset(token)
-
-
-def emit(event) -> None:
-    """Emit one event into the active recorder (no-op when disabled)."""
-    recorder = _current.get()
-    if recorder is not None:
-        recorder.emit(event)

@@ -35,7 +35,7 @@ from ..machine.performance import TaskKernel, TaskTimeModel
 from ..machine.power import SocketPowerModel
 from ..machine.rapl import RaplController
 from ..obs.events import ReallocEvent
-from ..obs.recorder import current_recorder
+from ..obs.observer import current_observer
 from ..simulator.engine import TaskRecord
 from ..simulator.program import Application, ComputeOp, TaskRef
 from .adagio import SlackEstimator, slowest_fitting_point
@@ -224,7 +224,7 @@ class ConductorPolicy:
         self.slack.update(records, rng=self.rng, noise=self.cfg.measurement_noise)
         if self._pcontrol_count % self.cfg.realloc_period != 0:
             return 0.0
-        recorder = current_recorder()
+        recorder = current_observer().recorder
         before = (
             tuple(float(w) for w in self.alloc_w) if recorder is not None else ()
         )

@@ -47,17 +47,15 @@ from ..exec.parallel import (
     ParallelRunner,
     resolve_workers,
 )
-from ..exec.timing import count
 from ..machine.device import LEGACY_NODE, NodeSpec, get_node, rank_nodes
 from ..machine.frontiers import FrontierStore, NodeFrontierStore
 from ..machine.power import SocketPowerModel
 from ..machine.variability import make_power_models
 from ..obs.events import CellFailureEvent, CounterEvent
-from ..obs.metrics import COUNT_BUCKETS, current_metrics
-from ..obs.metrics import inc as metric_inc
-from ..obs.profiling import profile_block
+from ..obs.metrics import COUNT_BUCKETS
+from ..obs.observer import current_observer, emit, inc, profiled, set_gauge
 from ..obs.progress import ProgressReporter
-from ..obs.recorder import TraceRecorder, current_recorder, emit
+from ..obs.recorder import TraceRecorder
 from ..simulator.engine import Engine, SimulationResult
 from ..simulator.telemetry import job_power_timeline
 from ..simulator.trace import Trace, trace_application
@@ -446,14 +444,14 @@ def run_scenario_cell(
         if payload is not None:
             cell = _cell_from_payload(spec, cap_per_socket_w, payload)
             if cell is not None:
-                metric_inc("cells.cached")
+                inc("cells.cached")
                 return cell
             # Stale or foreign payload under our key: recompute (and
             # overwrite) rather than mis-map fields.
-    metrics = current_metrics()
+    metrics = current_observer().metrics
     t0 = time.perf_counter() if metrics is not None else 0.0
     c0 = time.process_time() if metrics is not None else 0.0
-    with profile_block():
+    with profiled():
         cell = _run_scenario_cell(spec, cap_per_socket_w, cache, registry)
     if metrics is not None:
         metrics.inc("cells.computed")
@@ -485,7 +483,7 @@ def _run_scenario_cell(
 ) -> ScenarioCell:
     shared = _shared_for(spec)
     job_cap = cap_per_socket_w * spec.n_ranks
-    rec = current_recorder()
+    rec = current_observer().recorder
     tag = f"{spec.benchmark} cap={cap_per_socket_w:g}W"
 
     min_cap = shared.app_run.metadata.get("min_cap_per_socket_w")
@@ -670,10 +668,9 @@ def run_scenarios(
                     # Same structural guard as the cache path: a stale
                     # or foreign payload is recomputed, not mis-mapped.
                     cells[cap] = cell
-                    count("journal.resumed")
                     # Resumption depends on what a prior (possibly
                     # interrupted) run got through: operational.
-                    metric_inc("journal.resumed", operational=True)
+                    inc("journal.resumed", operational=True)
                     if progress is not None:
                         progress.update(ok=True, resumed=True)
     pending = [cap for cap in caps if cap not in cells]
@@ -684,9 +681,8 @@ def run_scenarios(
     multiplicity = {cap: pending.count(cap) for cap in dict.fromkeys(pending)}
     deduped = len(pending) - len(multiplicity)
     if deduped:
-        count("cells.deduped", deduped)
         # Derived from the spec's cap grid alone, so deterministic.
-        metric_inc("cells.deduped", deduped)
+        inc("cells.deduped", deduped)
     pending = list(multiplicity)
 
     use_pool = workers > 1 and len(pending) > 1 and registry is None
@@ -728,7 +724,7 @@ def run_scenarios(
             # Fires in submission (cap) order as each cell settles, so
             # an interrupted sweep has journaled its whole settled
             # prefix.  Worker cache hit/miss accounting arrives via the
-            # telemetry snapshots ParallelRunner merges.
+            # observer snapshots ParallelRunner merges.
             cap = pending[outcome.index]
             if progress is not None:
                 for _ in range(multiplicity[cap]):
@@ -744,8 +740,7 @@ def run_scenarios(
                         wall_s=round(outcome.elapsed_s, 6),
                     )
                 return
-            count("cell.failed")
-            metric_inc("cell.failed")
+            inc("cell.failed")
             emit(CellFailureEvent(
                 benchmark=spec.benchmark,
                 cap_per_socket_w=cap,
@@ -810,9 +805,7 @@ def run_scenarios(
         for cap in pending:
             cells[cap] = fn(cap)
 
-    metrics = current_metrics()
-    if metrics is not None:
-        metrics.set_gauge("sweep.cells_total", len(caps))
+    set_gauge("sweep.cells_total", len(caps))
     return ScenarioResult(spec=spec, cells=[cells[cap] for cap in caps])
 
 
@@ -842,7 +835,7 @@ def policy_iteration_time(
     registry = registry if registry is not None else default_registry()
     entry = registry.get(policy)
     cfg = entry.resolve_config(config)
-    rec = current_recorder()
+    rec = current_observer().recorder
     scope = partial(_scope, rec, label) if label is not None else nullcontext
     if entry.kind == "bound":
         if trace is None:

@@ -25,7 +25,7 @@ from pathlib import Path
 from ..exec.cache import SolverCache
 from ..exec.checkpoint import SweepJournal
 from ..exec.parallel import CellOutcome, ParallelRunner, resolve_workers
-from ..obs.metrics import set_gauge
+from ..obs.observer import set_gauge
 from ..scenarios.run import cell_payload, run_scenario_cell
 from ..scenarios.spec import ScenarioSpec
 from .queue import Job, JobQueue

@@ -39,8 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..exec.keys import scenario_cell_key
-from ..exec.timing import count
-from ..obs.metrics import inc as metric_inc
+from ..obs.observer import inc
 from ..scenarios.spec import SCENARIO_LAYER_VERSION, ScenarioSpec
 
 __all__ = [
@@ -268,11 +267,10 @@ class JobQueue:
                 }
             )
         n_dedup = len(attach) + (len(grid) - len(ids))
-        count("queue.submitted", len(new) + len(requeue))
+        # Both depend on what earlier submissions queued: operational.
+        inc("queue.submitted", len(new) + len(requeue), operational=True)
         if n_dedup:
-            count("queue.deduped", n_dedup)
-            # Dedup depends on what earlier submissions queued: operational.
-            metric_inc("queue.deduped", n_dedup, operational=True)
+            inc("queue.deduped", n_dedup, operational=True)
         return SubmitReceipt(
             submitted=len(new),
             deduped=n_dedup,

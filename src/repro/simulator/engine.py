@@ -23,7 +23,6 @@ from typing import Protocol
 
 import numpy as np
 
-from ..exec.timing import count, span
 from ..machine.configuration import Configuration, config_arrays
 from ..machine.cpu import CpuSpec, XEON_E5_2670
 from ..machine.device import NodeSpec
@@ -35,8 +34,7 @@ from ..machine.performance import (
 )
 from ..machine.power import SocketPowerModel, batch_task_powers
 from ..obs.events import CollectiveEvent, MpiWaitEvent, TaskEvent
-from ..obs.metrics import inc as metric_inc
-from ..obs.recorder import current_recorder
+from ..obs.observer import current_observer, inc, span
 from .network import IB_QDR, NetworkModel
 from .program import (
     Application,
@@ -523,9 +521,7 @@ class Engine:
         consulted with an empty record list, so only record-oblivious
         policies (replay and other plan-based policies) are supported.
         """
-        from ..obs.recorder import current_recorder as _cr
-
-        if _cr() is not None:
+        if current_observer().recorder is not None:
             raise RuntimeError(
                 "run_sweep cannot emit per-event traces; run each sweep "
                 "point through Engine.run when a recorder is active"
@@ -715,12 +711,9 @@ class Engine:
         for r in range(1, n):
             makespans = np.maximum(makespans, clocks[r])
 
-        count("sim.tasks", len(emissions) * n_points)
-        count("sim.mpi_waits", mpi_waits * n_points)
-        count("sim.collectives", collectives * n_points)
-        metric_inc("sim.tasks", len(emissions) * n_points)
-        metric_inc("sim.mpi_waits", mpi_waits * n_points)
-        metric_inc("sim.collectives", collectives * n_points)
+        inc("sim.tasks", len(emissions) * n_points)
+        inc("sim.mpi_waits", mpi_waits * n_points)
+        inc("sim.collectives", collectives * n_points)
 
         return SweepRunOutcome(
             app_name=app.name,
@@ -760,7 +753,7 @@ class Engine:
         dvfs_switches = 0
         # Tracing: one contextvar read per run; with tracing off the only
         # per-event cost is a local `is not None` branch.
-        rec = current_recorder()
+        rec = current_observer().recorder
 
         def arrival(src: int, dst: int, tag: int, send_time: float, size: int) -> None:
             channels.setdefault((src, dst, tag), deque()).append(
@@ -961,12 +954,9 @@ class Engine:
             }
             raise RuntimeError(f"deadlock: ranks blocked at {details}")
 
-        count("sim.tasks", len(records))
-        count("sim.mpi_waits", mpi_waits)
-        count("sim.collectives", collectives)
-        metric_inc("sim.tasks", len(records))
-        metric_inc("sim.mpi_waits", mpi_waits)
-        metric_inc("sim.collectives", collectives)
+        inc("sim.tasks", len(records))
+        inc("sim.mpi_waits", mpi_waits)
+        inc("sim.collectives", collectives)
         return SimulationResult(
             app_name=app.name,
             makespan_s=max(st.clock for st in states),

@@ -186,7 +186,7 @@ def replay_schedule(
     its policy-instance labels here), so replays land in their own
     Perfetto process group; None leaves the ambient scope untouched.
     """
-    from ..obs.recorder import current_recorder
+    from ..obs.observer import current_observer
 
     engine = Engine(power_models, network=network, spec=spec)
     policy = ReplayPolicy(
@@ -195,7 +195,7 @@ def replay_schedule(
         switch_overhead_s=switch_overhead_s,
         min_switch_duration_s=min_switch_duration_s,
     )
-    rec = current_recorder() if label is not None else None
+    rec = current_observer().recorder if label is not None else None
     with rec.run_scope(label) if rec is not None else nullcontext():
         result = engine.run(app, policy)
     ok, peak = verify_power_cap(
@@ -321,13 +321,13 @@ def replay_schedule_sweep(
     runs when a trace recorder is active, since per-event emission needs
     scalar timestamps.
     """
-    from ..obs.recorder import current_recorder
+    from ..obs.observer import current_observer
 
     if len(assignments) != len(caps_w):
         raise ValueError(
             f"{len(assignments)} assignments but {len(caps_w)} caps"
         )
-    if current_recorder() is not None:
+    if current_observer().recorder is not None:
         return [
             replay_schedule(
                 app, assignment, power_models, cap_w,

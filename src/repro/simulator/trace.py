@@ -24,7 +24,7 @@ import numpy as np
 
 from ..dag.builder import DagBuilder
 from ..dag.graph import TaskGraph, VertexKind
-from ..exec.timing import span
+from ..obs.observer import span
 from ..machine.configuration import ConfigPoint
 from ..machine.cpu import CpuSpec, XEON_E5_2670
 from ..machine.frontiers import FrontierStore, NodeFrontierStore

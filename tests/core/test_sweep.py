@@ -7,7 +7,9 @@ from repro.core import (
     solve_cap_sweep,
     solve_fixed_order_lp,
 )
+from repro.core import sweep as sweep_mod
 from repro.experiments import make_power_models
+from repro.obs import Metrics, Observer, use_observer
 from repro.simulator import trace_application
 from repro.workloads import imbalanced_collective_app
 
@@ -27,6 +29,26 @@ class TestCapSweep:
             assert sweep.results[cap].makespan_s == pytest.approx(
                 single.makespan_s, rel=1e-9
             )
+
+    def test_every_solve_is_one_solve_span(self, trace, monkeypatch):
+        # Parametric re-solves are timed inside FrozenProgram.solve, so
+        # they show up in --timings like any other solve.
+        built = []
+
+        class Recording(sweep_mod.ParametricCapSolver):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(sweep_mod, "ParametricCapSolver", Recording)
+        observer = Observer(metrics=Metrics())
+        with use_observer(observer):
+            solve_cap_sweep(trace, (90.0, 130.0, 240.0))
+        (solver,) = built
+        phases = observer.phases()
+        total = observer.metrics.counter("solve.total")
+        assert phases["solve"]["calls"] == total == solver.n_solves == 3
+        assert phases["assemble"]["calls"] == 1  # one model, three caps
 
     def test_makespans_mapping(self, trace):
         sweep = solve_cap_sweep(trace, (20.0, 130.0))

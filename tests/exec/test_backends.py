@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import os
 import signal
+import socket
+import threading
 import time
 
 import pytest
@@ -23,7 +25,10 @@ from repro.exec.backends import (
     make_backend,
     run_task,
 )
+from repro.exec.backends.sockets import PROTOCOL_VERSION, _recv_frame, _send_frame
 from repro.exec.parallel import ParallelRunner
+from repro.obs.metrics import Metrics
+from repro.obs.observer import OBSERVER_SCHEMA_VERSION, Observer, inc, use_observer
 
 
 def square(x):
@@ -36,6 +41,11 @@ def boom(x):
 
 def sleepy(x):
     time.sleep(x)
+    return x
+
+
+def count_one(x):
+    inc("x")
     return x
 
 
@@ -57,15 +67,24 @@ class TestMakeBackend:
 
 class TestRunTask:
     def test_payload_shape_and_telemetry(self):
-        value, telemetry, trace, audit, metrics, profile = run_task(square, 3)
-        assert value == 9
-        assert isinstance(telemetry, dict)
-        assert trace is None and audit is None
-        assert metrics is None and profile is None
+        # No sinks named: the worker builds and ships nothing.
+        assert run_task(square, 3) == (9, None)
 
     def test_wanted_snapshots_come_back(self):
-        payload = run_task(square, 2, want_metrics=True, want_profile=True)
-        assert payload[4] is not None and payload[5] is not None
+        value, snapshot = run_task(square, 2, ("metrics", "profile"))
+        assert value == 4
+        assert snapshot["version"] == OBSERVER_SCHEMA_VERSION
+        assert set(snapshot) == {"version", "metrics", "profile"}
+
+    def test_worker_observer_is_fresh(self):
+        # Whatever the calling context observes, the task records only
+        # into the sinks it was asked for.
+        parent = Observer(metrics=Metrics())
+        with use_observer(parent):
+            _, snapshot = run_task(count_one, 0, ("metrics",))
+            assert run_task(count_one, 0) == (0, None)
+        assert parent.metrics.counters == {}
+        assert snapshot["metrics"]["counters"] == {"x": 1}
 
 
 class TestInlineBackend:
@@ -74,7 +93,8 @@ class TestInlineBackend:
         backend.start(4)
         handle = backend.submit(TaskSpec(index=0, fn=square, item=5))
         payload = backend.result(handle, timeout_s=None)
-        assert payload == (25, None, None, None, None, None)
+        assert payload == (25, None)
+        assert backend.settled_at(handle) is None  # deadlines unenforced
         assert backend.result(handle, timeout_s=None) is payload  # settled
 
     def test_task_exceptions_propagate_raw(self):
@@ -129,6 +149,27 @@ class TestProcessPoolBackend:
         finally:
             backend.shutdown()
 
+    def test_unobserved_payload_carries_no_snapshot(self):
+        backend = ProcessPoolBackend()
+        backend.start(1)
+        try:
+            handle = backend.submit(TaskSpec(index=0, fn=square, item=3))
+            assert backend.result(handle, timeout_s=60.0) == (9, None)
+        finally:
+            backend.shutdown()
+
+    def test_completion_is_stamped(self):
+        backend = ProcessPoolBackend()
+        backend.start(1)
+        try:
+            before = time.monotonic()
+            handle = backend.submit(TaskSpec(index=0, fn=sleepy, item=0.2))
+            backend.result(handle, timeout_s=60.0)
+            time.sleep(0.05)  # the done-callback runs on the pool's thread
+            assert before + 0.2 <= backend.settled_at(handle) <= time.monotonic()
+        finally:
+            backend.shutdown()
+
     def test_start_is_idempotent(self):
         backend = ProcessPoolBackend()
         backend.start(2)
@@ -151,6 +192,44 @@ class TestSocketWorkerBackend:
             values = [backend.result(h, timeout_s=60.0)[0] for h in handles]
             assert values == [0, 1, 4, 9, 16, 25]
             assert len(backend.worker_pids()) == 2
+        finally:
+            backend.shutdown()
+
+    def test_payloads_follow_the_named_sinks(self):
+        backend = SocketWorkerBackend(heartbeat_s=0.2)
+        backend.start(1)
+        try:
+            before = time.monotonic()
+            plain = backend.submit(TaskSpec(index=0, fn=square, item=3))
+            observed = backend.submit(
+                TaskSpec(index=1, fn=count_one, item=5, sinks=("metrics",))
+            )
+            assert backend.result(plain, timeout_s=60.0) == (9, None)
+            value, snapshot = backend.result(observed, timeout_s=60.0)
+            assert value == 5
+            assert snapshot["metrics"]["counters"] == {"x": 1}
+            assert before <= backend.settled_at(plain) <= time.monotonic()
+        finally:
+            backend.shutdown()
+
+    def test_mismatched_protocol_is_refused_at_handshake(self):
+        backend = SocketWorkerBackend(spawn=False, heartbeat_s=0.2)
+        backend.connect_timeout_s = 0.1
+        with pytest.raises(RuntimeError, match="0/1 workers"):
+            backend.start(1)  # nobody connects; the listener stays up
+        try:
+            for protocol, refused in ((PROTOCOL_VERSION - 1, True),
+                                      (PROTOCOL_VERSION, False)):
+                sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                sock.connect(backend.address)
+                sock.settimeout(10.0)
+                _send_frame(sock, {
+                    "kind": "hello", "pid": 0, "protocol": protocol,
+                    "token": backend.token,
+                }, threading.Lock())
+                reply = _recv_frame(sock)
+                sock.close()
+                assert (reply is None) is refused
         finally:
             backend.shutdown()
 

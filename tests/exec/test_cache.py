@@ -149,16 +149,22 @@ class TestSolverCache:
         # Readers key on schema+key only: provenance never affects hits.
         assert cache.get(key) == {"answer": 42}
 
-    def test_cache_traffic_reaches_the_audit_ledger(self, tmp_path):
-        from repro.obs.audit import SolveAudit, use_audit
+    def test_cache_traffic_is_counted_once(self, tmp_path):
+        # Two tallies, no more: the cache's own and one metric each.
+        from repro.obs.metrics import Metrics
+        from repro.obs.observer import Observer, use_observer
 
         cache = SolverCache(tmp_path)
-        audit = SolveAudit()
-        with use_audit(audit):
+        observer = Observer(metrics=Metrics())
+        with use_observer(observer):
             cache.get("ab" * 32)
             cache.put("ab" * 32, {"v": 1})
             cache.get("ab" * 32)
-        assert (audit.cache_hits, audit.cache_misses) == (1, 1)
+        assert (cache.hits, cache.misses, cache.stores) == (1, 1, 1)
+        assert observer.metrics.counters == {
+            "cache.hit": 1, "cache.miss": 1, "cache.store": 1,
+        }
+        assert observer.metrics.operational == set()
 
     def test_corrupt_file_is_a_miss(self, tmp_path):
         cache = SolverCache(tmp_path)

@@ -1,4 +1,4 @@
-"""ParallelRunner: ordering, serial fallback, retries, timeouts, telemetry."""
+"""ParallelRunner: ordering, serial fallback, retries, timeouts, observation."""
 
 from __future__ import annotations
 
@@ -16,10 +16,19 @@ from repro.exec.parallel import (
     resolve_workers,
     retry_delay_s,
 )
-from repro.exec.timing import Telemetry, count, span, use_telemetry
-from repro.obs.audit import SolveAudit, SolveRecord, record_solve, use_audit
+from repro.exec.backends import make_backend
+from repro.obs.audit import SolveAudit, SolveRecord
 from repro.obs.events import CounterEvent
-from repro.obs.recorder import TraceRecorder, emit, use_recorder
+from repro.obs.metrics import Metrics
+from repro.obs.observer import (
+    Observer,
+    current_observer,
+    emit,
+    inc,
+    span,
+    use_observer,
+)
+from repro.obs.recorder import TraceRecorder
 
 
 # Module-level task functions so worker processes can unpickle them.
@@ -79,17 +88,27 @@ def _kill_self_always(item: int) -> int:
 
 def _instrumented(item: int) -> int:
     with span("worker.phase"):
-        count("worker.count", item)
+        inc("worker.count", item)
     return item
 
 
 def _emits_observability(item: int) -> int:
     emit(CounterEvent(name="w", ts_s=float(item), values={"v": item}))
-    record_solve(SolveRecord(
-        program=f"p{item}", backend="linprog", source="cold", rows=1, cols=1,
-        nnz=1, iterations=1, status="optimal", objective=0.0, wall_s=0.001,
-    ))
+    audit = current_observer().audit
+    if audit is not None:
+        audit.record(SolveRecord(
+            program=f"p{item}", backend="linprog", source="cold", rows=1,
+            cols=1, nnz=1, iterations=1, status="optimal", objective=0.0,
+            wall_s=0.001,
+        ))
     return item
+
+
+def _late_after_first(outcome: CellOutcome) -> None:
+    """An on_outcome hook slow enough (like an fsynced journal write)
+    that the parent reaches index 1 only after its cell has finished."""
+    if outcome.index == 0:
+        time.sleep(2.5)
 
 
 class TestResolveWorkers:
@@ -169,12 +188,12 @@ class TestParallelMap:
         assert runner.map(_sleepy, [0.01, 0.02]) == [0.01, 0.02]
 
     def test_worker_telemetry_merges_into_parent(self):
-        tel = Telemetry()
-        with use_telemetry(tel):
+        obs = Observer(metrics=Metrics())
+        with use_observer(obs):
             results = ParallelRunner(max_workers=2).map(_instrumented, [1, 2, 3])
         assert results == [1, 2, 3]
-        assert tel.phases["worker.phase"].calls == 3
-        assert tel.counter("worker.count") == 6
+        assert obs.phases()["worker.phase"]["calls"] == 3
+        assert obs.metrics.counter("worker.count") == 6
 
     def test_no_parent_telemetry_is_fine(self):
         assert ParallelRunner(max_workers=2).map(_instrumented, [1, 2]) == [1, 2]
@@ -182,7 +201,7 @@ class TestParallelMap:
     def test_worker_traces_merge_in_submission_order(self):
         rec = TraceRecorder()
         audit = SolveAudit()
-        with use_recorder(rec), use_audit(audit):
+        with use_observer(Observer(recorder=rec, audit=audit)):
             ParallelRunner(max_workers=2).map(_emits_observability, [2, 0, 1])
         counters = [d for d in rec.snapshot() if d["kind"] == "counter"]
         # Batches fold in submission order, not completion order.
@@ -303,18 +322,40 @@ class TestDeadlines:
         assert all(o.error_type == "TimeoutError" for o in outcomes)
         assert settled[1] - settled[0] < 0.3
 
+    @pytest.mark.parametrize("transport", ["process", "socket"])
+    def test_slow_on_outcome_does_not_rescue_a_late_cell(self, transport):
+        # Cell 1 finishes 1.5 s after submission, past its 1.0 s deadline,
+        # while the parent is still inside cell 0's on_outcome.  Its
+        # payload is already there when the parent reaches index 1, but
+        # it arrived late, so the cell times out — whenever the parent
+        # happens to look.
+        backend = make_backend(transport)
+        backend.start(2)
+        try:
+            runner = ParallelRunner(
+                max_workers=2, timeout_s=1.0, retries=0, backend=backend
+            )
+            outcomes = runner.map_outcomes(
+                _sleepy, [0.0, 1.5], on_outcome=_late_after_first
+            )
+        finally:
+            backend.shutdown()
+        assert outcomes[0].ok
+        assert not outcomes[1].ok
+        assert outcomes[1].error_type == "TimeoutError"
+
 
 class TestBrokenPool:
     def test_worker_death_rebuilds_pool_and_retries(self, tmp_path):
         # Breakage is charged to the awaited index, so one cell may absorb
         # blame for both kills; retries=3 covers the worst interleaving.
-        tel = Telemetry()
+        obs = Observer(metrics=Metrics())
         runner = ParallelRunner(max_workers=2, retries=3, backoff_s=0.0)
         markers = [str(tmp_path / "k0"), str(tmp_path / "k1")]
-        with use_telemetry(tel):
+        with use_observer(obs):
             results = runner.map(_kill_self_once, markers)
         assert results == ["survived", "survived"]
-        assert tel.counter("pool.rebuilt") >= 1
+        assert obs.metrics.counter("pool.rebuilt") >= 1
 
     def test_persistent_breakage_raises_pool_broken(self):
         runner = ParallelRunner(max_workers=2, retries=0)
@@ -382,11 +423,11 @@ class TestBatchedDispatch:
         assert seen == [0, 1, 2, 3]
 
     def test_worker_telemetry_merges_into_parent(self):
-        tel = Telemetry()
-        with use_telemetry(tel):
+        obs = Observer(metrics=Metrics())
+        with use_observer(obs):
             results = ParallelRunner(max_workers=2, batch_size=2).map(
                 _instrumented, [1, 2, 3]
             )
         assert results == [1, 2, 3]
-        assert tel.phases["worker.phase"].calls == 3
-        assert tel.counter("worker.count") == 6
+        assert obs.phases()["worker.phase"]["calls"] == 3
+        assert obs.metrics.counter("worker.count") == 6

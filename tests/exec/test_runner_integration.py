@@ -11,13 +11,14 @@ from repro.exec.options import (
     get_execution_options,
     set_execution_options,
 )
-from repro.exec.timing import TELEMETRY_SCHEMA_VERSION, Telemetry, use_telemetry
 from repro.experiments.cli import main
 from repro.experiments.runner import (
     ExperimentConfig,
     run_comparison,
     sweep_caps,
 )
+from repro.obs.metrics import Metrics
+from repro.obs.observer import TIMINGS_SCHEMA_VERSION, Observer, use_observer
 
 _CFG = ExperimentConfig(
     benchmark="comd",
@@ -48,24 +49,24 @@ def test_warm_cache_returns_identical_results(tmp_path):
 def test_warm_cache_skips_all_solves(tmp_path):
     cache = SolverCache(tmp_path)
     sweep_caps(_CFG, _CAPS, workers=1, cache=cache)
-    tel = Telemetry()
-    with use_telemetry(tel):
+    obs = Observer(metrics=Metrics())
+    with use_observer(obs):
         sweep_caps(_CFG, _CAPS, workers=1, cache=SolverCache(tmp_path))
-    assert tel.counter("cache.hit") == len(_CAPS)
-    assert "solve" not in tel.phases
-    assert "replay" not in tel.phases
-    assert "trace" not in tel.phases
+    assert obs.metrics.counter("cache.hit") == len(_CAPS)
+    assert "solve" not in obs.phases()
+    assert "replay" not in obs.phases()
+    assert "trace" not in obs.phases()
 
 
 def test_parallel_warm_cache_counts_hits_across_processes(tmp_path):
     cache = SolverCache(tmp_path)
     cold = sweep_caps(_CFG, _CAPS, workers=1, cache=cache)
-    tel = Telemetry()
-    with use_telemetry(tel):
+    obs = Observer(metrics=Metrics())
+    with use_observer(obs):
         warm = sweep_caps(_CFG, _CAPS, workers=2, cache=SolverCache(tmp_path))
     assert warm == cold
-    assert tel.counter("cache.hit") == len(_CAPS)
-    assert "solve" not in tel.phases
+    assert obs.metrics.counter("cache.hit") == len(_CAPS)
+    assert "solve" not in obs.phases()
 
 
 def test_uncached_comparison_matches_cached(tmp_path):
@@ -107,4 +108,7 @@ def test_cli_flags_wire_through(tmp_path, capsys):
     assert "fig1 regenerated" in out
     doc = json.loads(timings.read_text())
     assert set(doc) == {"version", "phases", "counters", "solve_audit"}
-    assert doc["version"] == TELEMETRY_SCHEMA_VERSION
+    assert doc["version"] == TIMINGS_SCHEMA_VERSION
+    # One solve-timing site: every solve is one `solve` span call.
+    solve_calls = doc["phases"].get("solve", {}).get("calls", 0)
+    assert solve_calls == doc["counters"].get("solve.total", 0)

@@ -1,4 +1,5 @@
-"""Telemetry: spans, counters, merging, and the disabled fast path."""
+"""Phase spans and counters on the observer: accumulation, merging, and
+the disabled fast path."""
 
 from __future__ import annotations
 
@@ -6,107 +7,115 @@ import json
 
 import pytest
 
-from repro.exec.timing import (
-    TELEMETRY_SCHEMA_VERSION,
-    Telemetry,
-    count,
-    current_telemetry,
+from repro.obs.metrics import Metrics
+from repro.obs.observer import (
+    OBSERVER_SCHEMA_VERSION,
+    Observer,
+    current_observer,
+    inc,
     span,
-    use_telemetry,
+    use_observer,
 )
 
 
+def observer() -> Observer:
+    return Observer(metrics=Metrics())
+
+
 def test_span_accumulates_into_active_telemetry():
-    tel = Telemetry()
-    with use_telemetry(tel):
+    obs = observer()
+    with use_observer(obs):
         with span("solve"):
             pass
         with span("solve"):
             pass
         with span("trace"):
             pass
-    assert tel.phases["solve"].calls == 2
-    assert tel.phases["trace"].calls == 1
-    assert tel.phase_seconds("solve") >= 0.0
-    assert tel.phase_seconds("absent") == 0.0
+    phases = obs.phases()
+    assert phases["solve"]["calls"] == 2
+    assert phases["trace"]["calls"] == 1
+    assert phases["solve"]["total_s"] >= 0.0
+    assert "absent" not in phases
 
 
 def test_span_and_count_are_noops_when_disabled():
-    assert current_telemetry() is None
+    assert current_observer().sinks == ()
     with span("anything"):
-        count("anything")
-    assert current_telemetry() is None
+        inc("anything")
+    assert current_observer().sinks == ()
+    assert Observer().phases() == {}
 
 
 def test_counters():
-    tel = Telemetry()
-    with use_telemetry(tel):
-        count("cache.hit")
-        count("cache.hit", 3)
-    assert tel.counter("cache.hit") == 4
-    assert tel.counter("cache.miss") == 0
+    obs = observer()
+    with use_observer(obs):
+        inc("cache.hit")
+        inc("cache.hit", 3)
+    assert obs.metrics.counter("cache.hit") == 4
+    assert obs.metrics.counter("cache.miss") == 0
 
 
 def test_use_telemetry_restores_previous():
-    outer, inner = Telemetry(), Telemetry()
-    with use_telemetry(outer):
-        with use_telemetry(inner):
-            count("c")
-        count("c")
-    assert inner.counter("c") == 1
-    assert outer.counter("c") == 1
+    outer, inner = observer(), observer()
+    with use_observer(outer):
+        with use_observer(inner):
+            inc("c")
+        inc("c")
+    assert inner.metrics.counter("c") == 1
+    assert outer.metrics.counter("c") == 1
 
 
 def test_to_dict_round_trip_and_merge():
-    tel = Telemetry()
-    with use_telemetry(tel):
+    obs = observer()
+    with use_observer(obs):
         with span("solve"):
             pass
-        count("cache.hit", 2)
-    snapshot = json.loads(tel.to_json())
+        inc("cache.hit", 2)
+    snapshot = json.loads(json.dumps(obs.snapshot()))
 
-    other = Telemetry()
+    other = observer()
     other.merge(snapshot)
     other.merge(snapshot)
-    assert other.phases["solve"].calls == 2
-    assert other.counter("cache.hit") == 4
+    assert other.phases()["solve"]["calls"] == 2
+    assert other.metrics.counter("cache.hit") == 4
 
 
 def test_summary_mentions_phases_and_counters():
-    tel = Telemetry()
-    with use_telemetry(tel):
+    obs = observer()
+    with use_observer(obs):
         with span("replay"):
             pass
-        count("cache.miss")
-    text = tel.summary()
+        inc("cache.miss")
+    text = obs.timings_summary()
     assert "replay" in text
     assert "cache.miss" in text
-    assert "(no phases recorded)" in Telemetry().summary()
+    assert "(no phases recorded)" in observer().timings_summary()
 
 
 def test_nested_spans_record_both():
-    tel = Telemetry()
-    with use_telemetry(tel):
+    obs = observer()
+    with use_observer(obs):
         with span("outer"):
             with span("inner"):
                 pass
-    assert tel.phases["outer"].calls == 1
-    assert tel.phases["inner"].calls == 1
-    assert tel.phases["outer"].total_s >= tel.phases["inner"].total_s
+    phases = obs.phases()
+    assert phases["outer"]["calls"] == 1
+    assert phases["inner"]["calls"] == 1
+    assert phases["outer"]["total_s"] >= phases["inner"]["total_s"]
 
 
 def test_snapshot_carries_schema_version():
-    assert Telemetry().to_dict()["version"] == TELEMETRY_SCHEMA_VERSION
+    assert Observer().snapshot()["version"] == OBSERVER_SCHEMA_VERSION
 
 
 def test_merge_rejects_mismatched_schema_version():
-    snapshot = Telemetry().to_dict()
-    snapshot["version"] = TELEMETRY_SCHEMA_VERSION + 1
+    snapshot = observer().snapshot()
+    snapshot["version"] = OBSERVER_SCHEMA_VERSION + 1
     with pytest.raises(ValueError, match="does not match"):
-        Telemetry().merge(snapshot)
+        observer().merge(snapshot)
 
 
 def test_merge_rejects_versionless_snapshot():
     # Pre-versioning snapshots must not be silently folded in either.
     with pytest.raises(ValueError, match="None"):
-        Telemetry().merge({"phases": {}, "counters": {}})
+        observer().merge({"metrics": Metrics().to_dict()})

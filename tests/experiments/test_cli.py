@@ -82,7 +82,10 @@ class TestRunSubcommand:
         audit = doc["solve_audit"]
         assert audit["solves"], "the LP solve must be in the ledger"
         assert audit["solves"][0]["status"] == "optimal"
-        assert set(audit["cache"]) == {"hits", "misses"}
+        # Cache traffic is counted by the metrics, not the audit.
+        assert set(audit) == {"solves"}
+        assert doc["phases"]["solve"]["calls"] == len(audit["solves"])
+        assert doc["counters"]["solve.total"] == len(audit["solves"])
 
 
 class TestScenarioRuns:

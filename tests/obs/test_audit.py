@@ -5,15 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.solver import LinearProgram
-from repro.obs.audit import (
-    SolveAudit,
-    SolveRecord,
-    current_audit,
-    note_cache,
-    record_solve,
-    use_audit,
-)
-from repro.obs.recorder import TraceRecorder, use_recorder
+from repro.obs.audit import SolveAudit, SolveRecord, use_audit
+from repro.obs.metrics import Metrics
+from repro.obs.observer import Observer, current_observer, use_observer
+from repro.obs.recorder import TraceRecorder
 
 
 def _record(program: str = "lp", source: str = "cold") -> SolveRecord:
@@ -35,12 +30,10 @@ class TestLedger:
     def test_snapshot_roundtrip(self):
         audit = SolveAudit()
         audit.record(_record())
-        audit.note_cache(True)
-        audit.note_cache(False)
+        audit.record(_record(source="resolve"))
         other = SolveAudit()
         other.extend(audit.to_dicts())
         assert other.records == audit.records
-        assert (other.cache_hits, other.cache_misses) == (1, 1)
 
     def test_record_none_fields_survive_roundtrip(self):
         record = SolveRecord(
@@ -50,14 +43,13 @@ class TestLedger:
         )
         assert SolveRecord.from_dict(record.to_dict()) == record
 
-    def test_table_lists_solves_and_cache(self):
+    def test_table_lists_solves(self):
         audit = SolveAudit()
         audit.record(_record(program="fixed-order-comd"))
-        audit.note_cache(True)
         table = audit.table()
         assert "solver audit" in table
         assert "fixed-order-comd" in table
-        assert "1 hit(s)" in table
+        assert "1 solve(s)" in table
 
     def test_empty_table(self):
         assert "(no solves recorded)" in SolveAudit().table()
@@ -65,16 +57,20 @@ class TestLedger:
 
 class TestActivation:
     def test_helpers_are_noops_when_disabled(self):
-        assert current_audit() is None
-        record_solve(_record())
-        note_cache(True)
+        assert current_observer().audit is None
+        assert _toy_program().freeze().solve().ok
 
     def test_helpers_target_active_audit(self):
-        audit = SolveAudit()
-        with use_audit(audit):
-            record_solve(_record())
-            note_cache(False)
-        assert len(audit) == 1 and audit.cache_misses == 1
+        # use_audit adds the ledger to the active observer, keeping the
+        # observer's other sinks.
+        audit, metrics = SolveAudit(), Metrics()
+        with use_observer(Observer(metrics=metrics)):
+            with use_audit(audit) as observer:
+                assert observer.audit is audit and observer.metrics is metrics
+                _toy_program().freeze().solve()
+            assert current_observer().audit is None
+        assert len(audit) == 1
+        assert metrics.counter("solve.total") == 1
 
 
 def _toy_program() -> LinearProgram:
@@ -104,12 +100,23 @@ class TestSolverIntegration:
     def test_solve_events_reach_the_recorder(self):
         frozen = _toy_program().freeze()
         rec = TraceRecorder()
-        with use_recorder(rec):
+        with use_observer(Observer(recorder=rec)):
             frozen.solve()
         docs = [d for d in rec.snapshot() if d["kind"] == "solve"]
         assert len(docs) == 1
         assert docs[0]["name"] == "solve:toy"
         assert docs[0]["args"]["source"] == "cold"
+
+    def test_one_clock_times_span_histogram_and_record(self):
+        frozen = _toy_program().freeze()
+        observer = Observer(metrics=Metrics(), audit=SolveAudit())
+        with use_observer(observer):
+            frozen.solve()
+            frozen.solve()
+        wall = [r.wall_s for r in observer.audit.records]
+        hist = observer.metrics.histograms["solve.wall_s"]
+        assert observer.phases()["solve"] == {"calls": 2, "total_s": sum(wall)}
+        assert hist.count == 2 and hist.sum == sum(wall)
 
     def test_unaudited_solve_is_silent(self):
         frozen = _toy_program().freeze()

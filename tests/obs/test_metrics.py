@@ -23,14 +23,17 @@ from repro.obs.metrics import (
     TIME_BUCKETS_S,
     Histogram,
     Metrics,
-    current_metrics,
+    prometheus_text,
+    validate_metrics_doc,
+)
+from repro.obs.observer import (
+    Observer,
+    current_observer,
     inc,
     observe,
-    prometheus_text,
     set_gauge,
-    timed,
-    use_metrics,
-    validate_metrics_doc,
+    span,
+    use_observer,
 )
 
 
@@ -159,30 +162,30 @@ class TestMetrics:
 # ----------------------------------------------------------------------
 class TestActivation:
     def test_module_helpers_are_noops_when_disabled(self):
-        assert current_metrics() is None
+        assert current_observer().metrics is None
         inc("cache.hit")
         set_gauge("g", 1)
         observe("h", 0.5)
-        with timed("t"):
+        with span("t"):
             pass
-        assert current_metrics() is None
+        assert current_observer().metrics is None
 
     def test_use_metrics_routes_helpers(self):
         m = Metrics()
-        with use_metrics(m) as active:
-            assert active is m and current_metrics() is m
+        with use_observer(Observer(metrics=m)) as active:
+            assert active.metrics is m and current_observer() is active
             inc("cache.hit")
             set_gauge("g", 2.0)
             observe("solve.iterations", 3, buckets=ITERATION_BUCKETS)
-            with timed("cell.wall_s"):
+            with span("cell"):
                 pass
-        assert current_metrics() is None
+        assert current_observer().metrics is None
         assert m.counter("cache.hit") == 1
         assert m.gauges["g"] == 2.0
-        # timed() is always operational: wall seconds never leak into
+        # Spans are always operational: wall seconds never leak into
         # the deterministic view.
-        assert "cell.wall_s" in m.operational
-        assert m.histograms["cell.wall_s"].count == 1
+        assert "span.cell" in m.operational
+        assert m.histograms["span.cell"].count == 1
 
 
 # ----------------------------------------------------------------------

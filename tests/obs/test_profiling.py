@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.profiling import (
-    PROFILE_SCHEMA_VERSION,
-    ProfileCollector,
-    current_profile,
-    profile_block,
-    use_profile,
+from repro.obs.observer import (
+    OBSERVER_SCHEMA_VERSION,
+    Observer,
+    current_observer,
+    profiled,
+    use_observer,
 )
+from repro.obs.profiling import ProfileCollector
 
 
 def _burn(n: int = 2000) -> int:
@@ -18,21 +19,21 @@ def _burn(n: int = 2000) -> int:
 
 
 def test_profile_block_is_a_noop_without_a_collector():
-    assert current_profile() is None
-    with profile_block():
+    assert current_observer().profile is None
+    with profiled():
         _burn()
-    assert current_profile() is None
+    assert current_observer().profile is None
 
 
 def test_profile_block_records_into_the_active_collector():
     collector = ProfileCollector()
-    with use_profile(collector):
-        assert current_profile() is collector
-        with profile_block():
+    with use_observer(Observer(profile=collector)):
+        assert current_observer().profile is collector
+        with profiled():
             _burn()
-        with profile_block():
+        with profiled():
             _burn()
-    assert current_profile() is None
+    assert current_observer().profile is None
     assert collector.blocks == 2
     assert any("_burn" in key for key in collector.stats)
     # Two profiled blocks, one _burn call each.
@@ -41,24 +42,27 @@ def test_profile_block_records_into_the_active_collector():
 
 
 def test_snapshot_round_trip_and_merge():
-    a, b = ProfileCollector(), ProfileCollector()
-    with use_profile(a), profile_block():
+    a, b = Observer(profile=ProfileCollector()), Observer(profile=ProfileCollector())
+    with use_observer(a), profiled():
         _burn()
-    with use_profile(b), profile_block():
+    with use_observer(b), profiled():
         _burn()
-    snapshot = b.to_dict()
-    assert snapshot["version"] == PROFILE_SCHEMA_VERSION
+    snapshot = b.snapshot()
+    assert snapshot["version"] == OBSERVER_SCHEMA_VERSION
     a.merge(snapshot)
+    a = a.profile
     assert a.blocks == 2
     (burn_key,) = [k for k in a.stats if "(_burn)" in k]
     assert a.stats[burn_key][0] == 2
 
 
 def test_merge_rejects_version_mismatch():
-    snapshot = ProfileCollector().to_dict()
-    snapshot["version"] = PROFILE_SCHEMA_VERSION + 1
+    # Profiles travel inside the observer snapshot, whose one schema
+    # version guards every sink.
+    snapshot = Observer(profile=ProfileCollector()).snapshot()
+    snapshot["version"] = OBSERVER_SCHEMA_VERSION + 1
     with pytest.raises(ValueError, match="version"):
-        ProfileCollector().merge(snapshot)
+        Observer(profile=ProfileCollector()).merge(snapshot)
 
 
 def test_top_sorts_by_cumtime_with_key_tiebreak():
@@ -78,7 +82,7 @@ def test_table_renders_header_and_rows():
     empty = collector.table()
     assert "0 profiled cell(s)" in empty
     assert "(no profile data recorded)" in empty
-    with use_profile(collector), profile_block():
+    with use_observer(Observer(profile=collector)), profiled():
         _burn()
     table = collector.table(5)
     assert "1 profiled cell(s)" in table

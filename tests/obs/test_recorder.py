@@ -1,4 +1,4 @@
-"""TraceRecorder: buffering, scoping, merging, contextvar activation."""
+"""TraceRecorder: buffering, scoping, merging, activation as an observer sink."""
 
 from __future__ import annotations
 
@@ -15,7 +15,8 @@ from repro.obs.events import (
     SolveEvent,
     TaskEvent,
 )
-from repro.obs.recorder import TraceRecorder, current_recorder, emit, use_recorder
+from repro.obs.observer import Observer, current_observer, emit, use_observer
+from repro.obs.recorder import TraceRecorder
 
 
 def _counter(i: int) -> CounterEvent:
@@ -94,15 +95,15 @@ class TestExtend:
 
 class TestActivation:
     def test_module_emit_is_noop_when_disabled(self):
-        assert current_recorder() is None
+        assert current_observer().recorder is None
         emit(_counter(0))  # must not raise, must not record anywhere
 
     def test_module_emit_targets_active_recorder(self):
         rec = TraceRecorder()
-        with use_recorder(rec):
-            assert current_recorder() is rec
+        with use_observer(Observer(recorder=rec)):
+            assert current_observer().recorder is rec
             emit(_counter(7))
-        assert current_recorder() is None
+        assert current_observer().recorder is None
         assert len(rec) == 1
 
 

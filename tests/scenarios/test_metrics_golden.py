@@ -10,14 +10,56 @@ scheduling-dependent numbers stay quarantined in the operational set.
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import replace
+from pathlib import Path
 
 from repro.exec.cache import SolverCache
-from repro.obs.metrics import Metrics, use_metrics, validate_metrics_doc
+from repro.exec.faults import FaultInjector, FaultSpec
+from repro.obs.audit import SolveAudit
+from repro.obs.metrics import Metrics, validate_metrics_doc
+from repro.obs.observer import Observer, use_observer
+from repro.obs.profiling import ProfileCollector
 from repro.obs.progress import ProgressReporter
+from repro.obs.recorder import TraceRecorder
 from repro.scenarios.run import run_scenarios
 from repro.scenarios.spec import PolicySpec, ScenarioSpec
+from repro.service.queue import JobQueue
 
 POLICIES = (PolicySpec("static"), PolicySpec("lp"))
+
+#: Every counter the library emits, with its determinism class (True:
+#: deterministic, part of the serial == parallel contract).  The docs'
+#: counter table (docs/observability.md) mirrors this one.
+COUNTER_CLASSES = {
+    "cache.hit": True,
+    "cache.miss": True,
+    "cache.store": True,
+    "cache.tmp_swept": False,
+    "cell.failed": True,
+    "cells.cached": True,
+    "cells.computed": True,
+    "cells.deduped": True,
+    "fleet.worker_connected": False,
+    "fleet.worker_hung": False,
+    "fleet.worker_lost": False,
+    "fleet.worker_respawned": False,
+    "journal.resumed": False,
+    "pool.rebuilt": False,
+    "queue.deduped": False,
+    "queue.submitted": False,
+    "sim.collectives": True,
+    "sim.mpi_waits": True,
+    "sim.tasks": True,
+    "solve.cold": False,
+    "solve.resolve": False,
+    "solve.total": True,
+    "task.deadline_expired": False,
+    "task.failed": False,
+    "task.retry": False,
+}
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def small_spec(caps=(40.0, 60.0), **overrides) -> ScenarioSpec:
@@ -41,7 +83,7 @@ def deterministic_bytes(metrics: Metrics) -> str:
 
 def sweep_metrics(spec: ScenarioSpec, workers: int, cache=None) -> Metrics:
     metrics = Metrics()
-    with use_metrics(metrics):
+    with use_observer(Observer(metrics=metrics)):
         run_scenarios(spec, workers=workers, cache=cache)
     return metrics
 
@@ -65,18 +107,57 @@ class TestGoldenSerialVsParallel:
         assert serial.counter("cache.miss") > 0
         assert serial.counter("cache.store") > 0
 
-    def test_expected_names_land_on_each_side_of_the_contract(self):
+    def test_expected_names_land_on_each_side_of_the_contract(self, tmp_path):
         metrics = sweep_metrics(small_spec(), workers=1)
         doc = metrics.to_dict(deterministic_only=True)
         for name in ("cells.computed", "solve.total", "sim.tasks"):
             assert doc["counters"].get(name, 0) > 0, name
         assert doc["gauges"]["sweep.cells_total"] == 2
-        # Wall-clock histograms exist in the full snapshot but are
-        # operational, never in the deterministic view.
-        assert "cell.wall_s" in metrics.histograms
-        assert "cell.wall_s" in metrics.operational
-        assert "cell.wall_s" not in doc["histograms"]
-        assert "solve.wall_s" in metrics.operational
+        # Wall-clock histograms (spans included) exist in the full
+        # snapshot but are operational, never in the deterministic view.
+        for name in ("cell.wall_s", "solve.wall_s", "span.solve"):
+            assert name in metrics.histograms, name
+            assert name in metrics.operational, name
+            assert name not in doc["histograms"], name
+
+        # Drive every cheaply reachable counter into one registry: a
+        # cached, deduplicated, journaled, faulted sweep, its resume, a
+        # retried pool cell, and queue submissions.
+        with use_observer(Observer(metrics=metrics)):
+            spec = small_spec(caps=(40.0, 60.0, 40.0))
+            cache = SolverCache(tmp_path / "cache")
+            run_scenarios(spec, cache=cache)
+            run_scenarios(spec, cache=cache)
+            run_scenarios(
+                small_spec(), keep_going=True, journal=tmp_path / "j.jsonl",
+                faults=FaultInjector(FaultSpec(match="cap=60")),
+            )
+            run_scenarios(small_spec(), journal=tmp_path / "j.jsonl")
+            queue = JobQueue(tmp_path / "q")
+            queue.submit_cells(small_spec())
+            queue.submit_cells(small_spec())
+        for name in (
+            "cache.hit", "cache.miss", "cache.store", "cell.failed",
+            "cells.cached", "cells.deduped", "journal.resumed",
+            "queue.deduped", "queue.submitted", "solve.cold",
+            "solve.resolve", "task.failed", "task.retry",
+        ):
+            assert metrics.counter(name) > 0, name
+        for name in metrics.counters:
+            assert name in COUNTER_CLASSES, f"{name} missing from the table"
+            deterministic = name not in metrics.operational
+            assert deterministic == COUNTER_CLASSES[name], name
+
+    def test_counter_table_covers_every_emission_site(self):
+        pattern = re.compile(
+            r'(?:\binc|_note|_note_locked_free)\(\s*"([a-z_]+\.[a-z_.]+)"'
+        )
+        emitted = {
+            name
+            for path in SRC.rglob("*.py")
+            for name in pattern.findall(path.read_text())
+        }
+        assert emitted and emitted <= set(COUNTER_CLASSES)
 
     def test_warm_cells_count_as_cached_not_computed(self, tmp_path):
         spec = small_spec()
@@ -91,7 +172,7 @@ class TestGoldenSerialVsParallel:
     def test_results_unchanged_by_metrics_collection(self):
         spec = small_spec()
         bare = run_scenarios(spec)
-        with use_metrics(Metrics()):
+        with use_observer(Observer(metrics=Metrics())):
             observed = run_scenarios(spec)
         for a, b in zip(bare.cells, observed.cells):
             for name in spec.policy_labels():
@@ -113,9 +194,50 @@ class TestProgressIntegration:
         run_scenarios(spec, journal=journal)
         metrics = Metrics()
         progress = ProgressReporter(total=2)
-        with use_metrics(metrics):
+        with use_observer(Observer(metrics=metrics)):
             run_scenarios(spec, journal=journal, progress=progress)
         assert metrics.counter("journal.resumed") == 2
         assert "journal.resumed" in metrics.operational
         assert progress.done == 2
         assert metrics.counter("cells.computed") == 0
+
+
+class TestObserverShipping:
+    """Every sink crosses the process boundary in one snapshot."""
+
+    @staticmethod
+    def observe_sweep(workers: int) -> Observer:
+        observer = Observer(
+            metrics=Metrics(), audit=SolveAudit(),
+            recorder=TraceRecorder(), profile=ProfileCollector(),
+        )
+        with use_observer(observer):
+            run_scenarios(small_spec(caps=(35.0, 45.0, 55.0)), workers=workers)
+        return observer
+
+    def test_parallel_observer_matches_serial(self):
+        serial = self.observe_sweep(workers=1)
+        parallel = self.observe_sweep(workers=2)
+        assert deterministic_bytes(parallel.metrics) == deterministic_bytes(
+            serial.metrics
+        )
+        # The cold/resolve split (and wall seconds) depend on which
+        # worker's warm solver a cell landed on; everything else is
+        # equal, trace included once worker batches are re-sequenced.
+        def events(observer):
+            docs = observer.recorder.snapshot()
+            for doc in docs:
+                if doc["kind"] == "solve":
+                    del doc["args"]["source"]
+            return docs
+
+        assert events(parallel) == events(serial)
+
+        def solves(observer):
+            return [
+                replace(r, wall_s=0.0, source="-")
+                for r in observer.audit.records
+            ]
+        assert solves(parallel) == solves(serial) and solves(serial)
+        assert parallel.profile.blocks == serial.profile.blocks == 3
+        assert parallel.phases()["solve"]["calls"] == len(serial.audit.records)

@@ -7,8 +7,9 @@ import pytest
 from repro.exec.checkpoint import SweepJournal
 from repro.exec.faults import FaultInjector, FaultSpec
 from repro.exec.parallel import ParallelExecutionError
-from repro.exec.timing import Telemetry, use_telemetry
-from repro.obs.recorder import TraceRecorder, use_recorder
+from repro.obs.metrics import Metrics
+from repro.obs.observer import Observer, use_observer
+from repro.obs.recorder import TraceRecorder
 from repro.scenarios.run import run_scenarios
 from repro.scenarios.spec import PolicySpec, ScenarioSpec
 
@@ -74,7 +75,7 @@ class TestKeepGoing:
 
     def test_failure_emits_trace_event(self):
         rec = TraceRecorder()
-        with use_recorder(rec):
+        with use_observer(Observer(recorder=rec)):
             run_scenarios(small_spec(), keep_going=True, faults=mid_cap_fault())
         failures = [d for d in rec.snapshot() if d["kind"] == "cell_failure"]
         assert len(failures) == 1
@@ -107,8 +108,8 @@ class TestJournalResume:
             small_spec(), keep_going=True, journal=journal,
             faults=mid_cap_fault(),
         )
-        tel = Telemetry()
-        with use_telemetry(tel):
+        tel = Metrics()
+        with use_observer(Observer(metrics=tel)):
             resumed = run_scenarios(small_spec(), keep_going=True, journal=journal)
         assert tel.counter("journal.resumed") == 2  # the two ok cells
         assert not resumed.failed_cells()  # the failed cell was retried
@@ -121,8 +122,8 @@ class TestJournalResume:
         # Keep only the first journaled cell, as if the process died there.
         first_line = path.read_text().splitlines()[0]
         path.write_text(first_line + "\n")
-        tel = Telemetry()
-        with use_telemetry(tel):
+        tel = Metrics()
+        with use_observer(Observer(metrics=tel)):
             resumed = run_scenarios(small_spec(), journal=str(path))
         assert tel.counter("journal.resumed") == 1
         assert times(resumed) == times(run_scenarios(small_spec()))
@@ -131,8 +132,8 @@ class TestJournalResume:
         journal = SweepJournal(tmp_path / "j.jsonl")
         run_scenarios(small_spec(), journal=journal)
         other = small_spec(caps=(40.0, 45.0))  # different grid, different keys
-        tel = Telemetry()
-        with use_telemetry(tel):
+        tel = Metrics()
+        with use_observer(Observer(metrics=tel)):
             result = run_scenarios(other, journal=journal)
         assert tel.counter("journal.resumed") == 1  # only cap=40 is shared
         assert len(result.cells) == 2

@@ -5,7 +5,8 @@ import pytest
 from repro.exec.cache import SolverCache
 from repro.exec.keys import scenario_cell_key
 from repro.machine.variability import make_power_models
-from repro.obs.recorder import TraceRecorder, use_recorder
+from repro.obs.observer import Observer, use_observer
+from repro.obs.recorder import TraceRecorder
 from repro.scenarios.run import (
     policy_iteration_time,
     run_scenario_cell,
@@ -105,7 +106,7 @@ class TestNWaySmoke:
     def test_trace_scopes_per_policy_instance(self):
         rec = TraceRecorder()
         spec = small_spec(caps=(40.0,))
-        with use_recorder(rec):
+        with use_observer(Observer(recorder=rec)):
             run_scenarios(spec)
         runs = {e["run"] for e in rec.snapshot()}
         for label in spec.policy_labels():
@@ -190,11 +191,11 @@ class TestEnergyOutcomes:
             )
 
     def test_cell_energy_metric_is_deterministic(self):
-        from repro.obs.metrics import Metrics, use_metrics
+        from repro.obs.metrics import Metrics
 
         spec = small_spec(policies=ENERGY_WAY[:2], caps=(40.0,))
         m = Metrics()
-        with use_metrics(m):
+        with use_observer(Observer(metrics=m)):
             run_scenarios(spec)
         hist = m.to_dict(deterministic_only=True)["histograms"]["cell.energy_j"]
         assert hist["count"] == 2  # one observation per outcome
@@ -253,16 +254,15 @@ class TestCellCaching:
 
 class TestWithinRunDedup:
     def test_duplicate_caps_compute_once_and_fan_out(self):
-        from repro.exec.timing import Telemetry, use_telemetry
-        from repro.obs.metrics import Metrics, use_metrics
+        from repro.obs.metrics import Metrics
 
         spec = small_spec(
             policies=ALL_FIVE[:2], caps=(40.0, 60.0, 40.0, 40.0)
         )
-        telemetry, metrics = Telemetry(), Metrics()
-        with use_telemetry(telemetry), use_metrics(metrics):
+        metrics = Metrics()
+        with use_observer(Observer(metrics=metrics)):
             result = run_scenarios(spec)
-        assert telemetry.counter("cells.deduped") == 2
+        # Counted once, in the one metrics sink.
         assert metrics.to_dict()["counters"]["cells.deduped"] == 2
         # The result still fans out to every grid occurrence...
         assert [c.cap_per_socket_w for c in result.cells] == [

@@ -1,9 +1,10 @@
-"""Engine trace-event emission and simulator telemetry counters."""
+"""Engine trace-event emission and simulator counters."""
 
 from __future__ import annotations
 
-from repro.exec.timing import Telemetry, use_telemetry
-from repro.obs.recorder import TraceRecorder, use_recorder
+from repro.obs.metrics import Metrics
+from repro.obs.observer import Observer, use_observer
+from repro.obs.recorder import TraceRecorder
 from repro.simulator import Application, ComputeOp, Engine
 
 from ..conftest import make_p2p_app
@@ -29,7 +30,7 @@ class TestEventEmission:
     def test_every_task_record_has_a_task_event(self, kernel, two_rank_models):
         app = make_p2p_app(kernel, iterations=2)
         rec = TraceRecorder()
-        with use_recorder(rec):
+        with use_observer(Observer(recorder=rec)):
             res = Engine(two_rank_models).run(app, FixedPolicy())
         tasks = [d for d in rec.snapshot() if d["kind"] == "task"]
         assert len(tasks) == len(res.records)
@@ -40,7 +41,7 @@ class TestEventEmission:
     def test_collectives_emit_one_span_per_rank(self, kernel, two_rank_models):
         app = make_p2p_app(kernel, iterations=1)
         rec = TraceRecorder()
-        with use_recorder(rec):
+        with use_observer(Observer(recorder=rec)):
             Engine(two_rank_models).run(app, FixedPolicy())
         names = [d["name"] for d in rec.snapshot() if d["kind"] == "collective"]
         # One allreduce and one pcontrol barrier, each spanning both ranks.
@@ -50,7 +51,7 @@ class TestEventEmission:
     def test_mpi_waits_emitted_only_when_blocked(self, kernel, two_rank_models):
         app = make_p2p_app(kernel, iterations=1)
         rec = TraceRecorder()
-        with use_recorder(rec):
+        with use_observer(Observer(recorder=rec)):
             Engine(two_rank_models).run(app, FixedPolicy())
         for doc in rec.snapshot():
             if doc["kind"] == "mpi_wait":
@@ -61,7 +62,7 @@ class TestEventEmission:
         app = make_p2p_app(kernel, iterations=1)
         engine = Engine(two_rank_models)
         bare = engine.run(app, FixedPolicy())
-        with use_recorder(TraceRecorder()):
+        with use_observer(Observer(recorder=TraceRecorder())):
             traced = engine.run(app, FixedPolicy())
         assert traced.makespan_s == bare.makespan_s
         assert traced.records == bare.records
@@ -70,8 +71,8 @@ class TestEventEmission:
 class TestSimulatorCounters:
     def test_run_bumps_sim_counters(self, kernel, two_rank_models):
         app = make_p2p_app(kernel, iterations=2)
-        telemetry = Telemetry()
-        with use_telemetry(telemetry):
+        telemetry = Metrics()
+        with use_observer(Observer(metrics=telemetry)):
             res = Engine(two_rank_models).run(app, FixedPolicy())
         assert telemetry.counter("sim.tasks") == len(res.records)
         assert telemetry.counter("sim.collectives") == res.collective_count
@@ -81,8 +82,8 @@ class TestSimulatorCounters:
         app = Application(
             "t", [[ComputeOp(kernel)], [ComputeOp(kernel)]]
         )
-        telemetry = Telemetry()
-        with use_telemetry(telemetry):
+        telemetry = Metrics()
+        with use_observer(Observer(metrics=telemetry)):
             Engine(two_rank_models).run(app, FixedPolicy())
         assert telemetry.counter("sim.tasks") == 2
         assert telemetry.counter("sim.mpi_waits") == 0

@@ -16,7 +16,8 @@ import pytest
 
 from repro.core import ParametricCapSolver, round_schedule
 from repro.experiments.runner import make_power_models
-from repro.obs.recorder import TraceRecorder, use_recorder
+from repro.obs.observer import Observer, use_observer
+from repro.obs.recorder import TraceRecorder
 from repro.simulator import (
     Engine,
     ReplayPolicy,
@@ -140,7 +141,7 @@ class TestRecorderInteraction:
         app_run, pms, asgs, _ = sweep_fixture(make_bt, 4)
         engine = Engine(pms)
         plan = build_replay_sweep_plan(app_run, engine, asgs)
-        with use_recorder(TraceRecorder()):
+        with use_observer(Observer(recorder=TraceRecorder())):
             with pytest.raises(RuntimeError, match="per-event traces"):
                 engine.run_sweep(app_run, ReplayPolicy({}), plan)
 
@@ -150,7 +151,7 @@ class TestRecorderInteraction:
         app_run, pms, asgs, caps = sweep_fixture(make_bt, 4)
         plain = replay_schedule_sweep(app_run, asgs, pms, caps)
         rec = TraceRecorder()
-        with use_recorder(rec):
+        with use_observer(Observer(recorder=rec)):
             traced = replay_schedule_sweep(app_run, asgs, pms, caps)
         assert rec.snapshot()  # the scalar path emitted per-event spans
         for a, b in zip(plain, traced):
