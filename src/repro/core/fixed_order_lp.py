@@ -23,6 +23,16 @@ Constraints:
   model re-solves at any other cap by updating only the RHS;
 * event order (eqs. 12-13): vertex times follow the initial order, with
   coincident-in-initial-schedule vertices tied equal.
+
+One rule fixes the continuous LP's answer at a cap ``PC``.  The power
+ceiling is the peak event power with every task at its most
+power-hungry configuration; no schedule draws more, so at ``PC`` at or
+above the ceiling the cap rows cannot bind and the model equals the one
+with the cap rows freed.  There the answer is that relaxed model's
+optimum ``x_free``, one solve shared by every such cap; below the
+ceiling it is the cold solve at ``PC``.  The rule depends only on the
+inputs, so every path — one-shot, parametric, cached, in any order —
+returns the same bits, and no path runs more solves than one per cap.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs.observer import span
+from ..obs.observer import inc, span
 from ..simulator.trace import Trace
 from .events import EventStructure
 from .schedule import PowerSchedule
@@ -43,9 +53,15 @@ from .model import (
     build_problem_instance,
     extract_schedule,
 )
-from .solver import InfeasibleError, LpSolution, LpStatus
+from .solver import FrozenProgram, InfeasibleError, LpSolution, LpStatus
 
-__all__ = ["FixedOrderLpResult", "solve_fixed_order_lp", "compile_fixed_order"]
+__all__ = [
+    "FixedOrderLpResult",
+    "solve_fixed_order_lp",
+    "compile_fixed_order",
+    "power_ceiling_w",
+    "solve_at_cap",
+]
 
 
 @dataclass
@@ -65,6 +81,50 @@ class FixedOrderLpResult:
         if self.schedule is None:
             raise InfeasibleError("LP was infeasible; no makespan")
         return self.schedule.objective_s
+
+
+def power_ceiling_w(compiled: CompiledModel, frozen: FrozenProgram) -> float:
+    """Peak event power with every task at its most power-hungry
+    configuration: no cap at or above it can bind.
+
+    Each task's configuration fractions sum to one, so an event-power
+    row never exceeds the sum of its tasks' largest powers.
+    """
+    x = np.zeros(frozen.n_vars)
+    for edge_id, cols in compiled.c_idx.items():
+        x[cols[int(np.argmax(compiled.frontiers[edge_id].powers))]] = 1.0
+    return float(frozen.row_activity(CAP_ROW_TAG, x).max(initial=0.0))
+
+
+def solve_at_cap(
+    frozen: FrozenProgram,
+    cap_w: float,
+    ceiling_w: float,
+    time_limit_s: float | None = None,
+    relaxed: LpSolution | None = None,
+) -> tuple[LpSolution, LpSolution | None]:
+    """The continuous fixed-order LP's answer at ``cap_w`` by the module's
+    rule, and the relaxed optimum to pass back in as ``relaxed``.
+
+    Below ``ceiling_w`` (:func:`power_ceiling_w`) the answer is the solve
+    at ``cap_w``.  From it up the answer is the relaxed optimum:
+    ``relaxed`` when given, else one solve with the cap rows freed.  A
+    relaxed solve that fails (e.g. on a time limit) is the answer but is
+    not handed back, so the next caller solves it again.
+    """
+    if cap_w < ceiling_w:
+        solution = frozen.solve(
+            time_limit_s=time_limit_s, rhs={CAP_ROW_TAG: float(cap_w)}
+        )
+        return solution, relaxed
+    if relaxed is None:
+        relaxed = frozen.solve(
+            time_limit_s=time_limit_s, rhs={CAP_ROW_TAG: np.inf}
+        )
+        if not relaxed.ok:
+            return relaxed, None
+    inc("solve.saturated")
+    return relaxed, relaxed
 
 
 #: Discrete (binary-configuration) instances beyond this many tasks are
@@ -259,6 +319,11 @@ def solve_fixed_order_lp(
         solving the same trace repeatedly (sweeps, experiment grids)
         should build it once and pass it here; ``events`` is ignored
         in that case.
+
+    The continuous answer follows the module's rule (see
+    :func:`solve_at_cap`), so it equals
+    :class:`~.sweep.ParametricCapSolver`'s bit for bit; either way it
+    costs one HiGHS run.
     """
     if cap_w <= 0:
         raise ValueError(f"cap must be positive, got {cap_w}")
@@ -279,7 +344,11 @@ def solve_fixed_order_lp(
         )
         frozen = compiled.freeze()
 
-    solution = frozen.solve(time_limit_s=time_limit_s)
+    if discrete:
+        solution = frozen.solve(time_limit_s=time_limit_s)
+    else:
+        ceiling_w = power_ceiling_w(compiled, frozen)
+        solution, _ = solve_at_cap(frozen, cap_w, ceiling_w, time_limit_s)
     if solution.status is not LpStatus.OPTIMAL:
         return FixedOrderLpResult(
             schedule=None, solution=solution, events=instance.events

@@ -60,7 +60,10 @@ __all__ = [
 #: v4: the energy LP gained optional event-power cap rows (min-energy
 #: subject to deadline *and* cap), so energy-lp cache entries keyed
 #: against the capless compilation must never satisfy capped solves.
-MODEL_LAYER_VERSION = 4
+#: v5: the continuous fixed-order LP answers every cap at or above the
+#: power ceiling with the relaxed optimum (same makespan, but energy,
+#: rounding and primal vector may differ from the earlier cold solve).
+MODEL_LAYER_VERSION = 5
 
 #: Row tag on constraints whose RHS is the job power cap.  Rows carrying
 #: this tag are the only part of the fixed-order model that changes

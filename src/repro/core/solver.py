@@ -419,13 +419,15 @@ class FrozenProgram:
         self._integrality = integrality
         self._tag_rows = tag_rows
         self.n_solves = 0
+        self._n_relaxed = 0  # of which relaxed (see solve)
         self._direct = None  # lazy persistent HiGHS handle (LP path only)
         self._direct_b_ub = None  # RHS last handed to that handle
         self._direct_time_limit = np.inf  # time_limit the handle holds
         self._status_cache: dict = {}  # HighsModelStatus -> (code, message)
         # One-sided split for linprog, computed once.  The finiteness
         # pattern is part of the model *structure*: RHS overrides replace
-        # finite bounds with finite values, so the split never changes.
+        # finite bounds with finite values (a freed row keeps its slot
+        # with a +inf bound), so the split never changes.
         self._ub_rows = np.isfinite(hi)
         self._lb_rows = np.isfinite(lo)
         if self._ub_rows.any() or self._lb_rows.any():
@@ -456,6 +458,10 @@ class FrozenProgram:
         """Row indices carrying ``tag`` (empty array for unknown tags)."""
         return self._tag_rows.get(tag, np.empty(0, dtype=int))
 
+    def row_activity(self, tag: str, x: np.ndarray) -> np.ndarray:
+        """Left-hand sides ``A[rows] @ x`` of the rows carrying ``tag``."""
+        return self._a[self.rows_for(tag)] @ x
+
     def _bounds_with(self, rhs: dict[str, float] | None) -> tuple[
         np.ndarray, np.ndarray
     ]:
@@ -469,8 +475,16 @@ class FrozenProgram:
                     f"no constraint rows tagged {tag!r} "
                     f"(known tags: {list(self._tag_rows)})"
                 )
+            if value == np.inf and not self._lb_rows[rows].any():
+                # Free the tagged ``<=`` rows: the finiteness pattern
+                # stays as assembled, only the upper bounds become +inf.
+                hi[rows] = np.inf
+                continue
             if not np.isfinite(value):
-                raise ValueError(f"tag {tag!r}: RHS must be finite, got {value}")
+                raise ValueError(
+                    f"tag {tag!r}: RHS must be finite, or +inf to free "
+                    f"<= rows, got {value}"
+                )
             hi[rows[self._ub_rows[rows]]] = value
             lo[rows[self._lb_rows[rows]]] = value
         return lo, hi
@@ -484,7 +498,9 @@ class FrozenProgram:
 
         An override replaces every finite bound of the tagged rows — the
         upper bound of ``<=`` rows, the lower bound of ``>=`` rows, both
-        for equalities — leaving the assembled matrix untouched.
+        for equalities — leaving the assembled matrix untouched.  An
+        override of ``+inf`` on ``<=`` rows frees them: a *relaxed*
+        solve of the model without those rows.
 
         This is the one place every LP/MILP solve is observed.  One
         clock pair times the solver call for the ``solve`` span, the
@@ -492,12 +508,26 @@ class FrozenProgram:
         With an active :class:`repro.obs.Observer`, the metrics sink
         counts the solve, the audit sink records the model shape,
         iteration count, status, objective, wall time and provenance
-        (cold first solve vs parametric re-solve), and the recorder gets
-        a solve event.  Each is a no-op when its sink is absent.
+        (cold first solve, parametric re-solve, or relaxed), and the
+        recorder gets a solve event.  Each is a no-op when its sink is
+        absent.
+
+        A relaxed solve is counted apart: ``solve.relaxed`` and the
+        ``solve.relaxed`` span, never ``solve.total`` or the ``solve``
+        span, which count solves at a parameter value.  How many relaxed
+        solves a sweep runs depends on how many solvers its workers
+        build, so they stay out of the deterministic counters and out of
+        the recorder's trace.
         """
         lo, hi = self._bounds_with(rhs)
         self.n_solves += 1
-        source = "cold" if self.n_solves == 1 else "resolve"
+        relaxed = bool(rhs) and any(v == np.inf for v in rhs.values())
+        self._n_relaxed += relaxed
+        if relaxed:
+            source = "relaxed"
+        else:
+            first = self.n_solves - self._n_relaxed == 1
+            source = "cold" if first else "resolve"
         observer = current_observer()
         audit, metrics = observer.audit, observer.metrics
         timed = audit is not None or metrics is not None
@@ -512,7 +542,8 @@ class FrozenProgram:
             # cold/resolve splits, iteration counts, and wall seconds
             # depend on which worker's warm solver pool a cell landed on,
             # so they are operational (see repro.obs.metrics).
-            metrics.inc("solve.total")
+            if not relaxed:
+                metrics.inc("solve.total")
             metrics.inc(f"solve.{source}", operational=True)
             if iterations is not None:
                 metrics.observe(
@@ -520,7 +551,7 @@ class FrozenProgram:
                     buckets=ITERATION_BUCKETS, operational=True,
                 )
             metrics.observe("solve.wall_s", wall_s, operational=True)
-            record_span(metrics, "solve", wall_s)
+            record_span(metrics, "solve.relaxed" if relaxed else "solve", wall_s)
         if audit is not None:
             audit.record(SolveRecord(
                 program=self.name,
@@ -534,7 +565,7 @@ class FrozenProgram:
                 objective=solution.objective if solution.ok else None,
                 wall_s=wall_s,
             ))
-        if observer.recorder is not None:
+        if observer.recorder is not None and not relaxed:
             observer.recorder.emit(SolveEvent(
                 program=self.name,
                 source=source,
@@ -554,12 +585,17 @@ class FrozenProgram:
             if self._a_ub is not None
             else None
         )
+        a_ub = self._a_ub
+        if b_ub is not None and not np.isfinite(b_ub).all():
+            # linprog rejects infinite b_ub: drop the freed rows instead.
+            keep = np.isfinite(b_ub)
+            a_ub, b_ub = a_ub[keep], b_ub[keep]
         options = {"presolve": True}
         if time_limit_s is not None:
             options["time_limit"] = time_limit_s
         res = sopt.linprog(
             self._c,
-            A_ub=self._a_ub,
+            A_ub=a_ub,
             b_ub=b_ub,
             bounds=list(zip(self._var_lb, self._var_ub)),
             method="highs",
@@ -622,10 +658,10 @@ class FrozenProgram:
             model.row_upper_ = b_ub
             highs.passModel(model)
         else:
-            # Re-solve: only parametric RHS entries moved; update those
-            # rows in place and drop any solver state so the run starts
-            # cold — same model, same start, bit-identical to a fresh
-            # passModel at this RHS.
+            # Re-solve: only parametric RHS entries moved (to +inf for
+            # freed rows); update those rows in place and drop any solver
+            # state so the run starts cold — same model, same start,
+            # bit-identical to a fresh passModel at this RHS.
             for row in np.nonzero(b_ub != self._direct_b_ub)[0]:
                 highs.changeRowBounds(int(row), -np.inf, float(b_ub[row]))
             highs.clearSolver()

@@ -4,8 +4,11 @@ The paper's Figures 9-15 solve the same trace under many power caps.  The
 cap appears only in the RHS of the event-power rows, so the entire model
 — variables, precedence, the hundreds of thousands of event-power
 nonzeros — is cap-invariant: :class:`ParametricCapSolver` compiles and
-freezes it once and re-solves with an updated RHS per cap.  The matrix
-handed to HiGHS is identical to a from-scratch build at that cap, so the
+freezes it once and re-solves with an updated RHS per cap.  From the
+power ceiling up (the peak event power with every task at its most
+power-hungry configuration) the cap cannot bind: one solve with the cap
+rows freed answers every such cap.  Below it, the matrix handed to HiGHS
+is identical to a from-scratch build at that cap.  Either way the
 results match the rebuild path exactly (see
 ``benchmarks/test_bench_sweep_parametric.py`` for the speedup and the
 byte-identity assertion).
@@ -22,9 +25,11 @@ from .events import EventStructure
 from .fixed_order_lp import (
     FixedOrderLpResult,
     compile_fixed_order,
+    power_ceiling_w,
+    solve_at_cap,
     solve_fixed_order_lp,
 )
-from .model import CAP_ROW_TAG, ProblemInstance, build_problem_instance, extract_schedule
+from .model import ProblemInstance, build_problem_instance, extract_schedule
 from .solver import LpStatus
 
 __all__ = [
@@ -69,9 +74,12 @@ class ParametricCapSolver:
     """The fixed-order LP assembled once, solvable at any cap.
 
     Compiles the model from the shared IR at a placeholder cap, freezes
-    the sparse matrix, and answers each :meth:`solve` by overriding the
-    RHS of the :data:`~.model.CAP_ROW_TAG` rows — skipping model build
-    and matrix assembly entirely.  Optionally consults/feeds a
+    the sparse matrix, and answers each :meth:`solve` by the rule of
+    :func:`~.fixed_order_lp.solve_at_cap`: below :attr:`power_ceiling_w`
+    a solve with the RHS of the :data:`~.model.CAP_ROW_TAG` rows
+    overridden — skipping model build and matrix assembly entirely; from
+    it up the relaxed optimum, solved once on first use.  Optionally
+    consults/feeds a
     :class:`repro.exec.SolverCache` with the same keys as
     :func:`~repro.exec.cache.cached_solve_fixed_order_lp`, so parametric
     and per-cap callers share warm entries.
@@ -95,6 +103,7 @@ class ParametricCapSolver:
             self._frozen = self._compiled.freeze()
         self.instance = instance
         self.power_tiebreak = float(power_tiebreak)
+        self._relaxed = None  # relaxed optimum, once solved
 
     @property
     def events(self) -> EventStructure:
@@ -102,8 +111,15 @@ class ParametricCapSolver:
 
     @property
     def n_solves(self) -> int:
-        """LP solves actually performed (cache hits excluded)."""
+        """HiGHS runs actually performed, the relaxed one included (cache
+        hits and answers from the solved relaxed optimum run none)."""
         return self._frozen.n_solves
+
+    @functools.cached_property
+    def power_ceiling_w(self) -> float:
+        """Smallest cap the relaxed optimum answers (see
+        :func:`~.fixed_order_lp.power_ceiling_w`)."""
+        return power_ceiling_w(self._compiled, self._frozen)
 
     def solve(
         self,
@@ -130,8 +146,12 @@ class ParametricCapSolver:
             payload = cache.get(key)
             if payload is not None:
                 return lp_result_from_payload(payload, self.instance.events)
-        solution = self._frozen.solve(
-            time_limit_s=time_limit_s, rhs={CAP_ROW_TAG: float(cap_w)}
+        solution, self._relaxed = solve_at_cap(
+            self._frozen,
+            float(cap_w),
+            self.power_ceiling_w,
+            time_limit_s=time_limit_s,
+            relaxed=self._relaxed,
         )
         if solution.status is LpStatus.OPTIMAL:
             schedule = extract_schedule(

@@ -162,6 +162,7 @@ def render_sweep_report(
                 f"{100.0 * hits / lookups:.1f}%" if lookups else "-"
             ),
             "solves": counters.get("solve.total", 0),
+            "saturated answers": counters.get("solve.saturated", 0),
             "cells computed": counters.get("cells.computed", 0),
             "cells cached": counters.get("cells.cached", 0),
         }

@@ -349,9 +349,39 @@ class TestFrozenProgram:
             frozen.solve(rhs={"budget": 1.0})
 
     def test_nonfinite_rhs_rejected(self):
+        # +inf frees <= rows (see test_inf_rhs_frees_le_rows); every other
+        # non-finite override is an error.
         frozen = self._capped(4.0).freeze()
+        for value in (-np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                frozen.solve(rhs={"cap": value})
+        lp = LinearProgram()
+        x = lp.add_var("x", ub=10.0)
+        lp.add_ge({x: 1.0}, 2.0, tag="floor")
+        lp.set_objective({x: 1.0})
         with pytest.raises(ValueError, match="finite"):
-            frozen.solve(rhs={"cap": np.inf})
+            lp.freeze().solve(rhs={"floor": np.inf})
+
+    @pytest.mark.parametrize("direct", [True, False])
+    def test_inf_rhs_frees_le_rows(self, direct, monkeypatch):
+        import repro.core.solver as solver_mod
+
+        if direct and not solver_mod._HIGHS_DIRECT:
+            pytest.skip("scipy build without accessible HiGHS bindings")
+        monkeypatch.setattr(solver_mod, "_HIGHS_DIRECT", direct)
+        lp = self._capped(4.0)
+        y = lp.add_var("y", ub=3.0)
+        lp.add_le({y: 1.0}, 2.0)  # untagged: stays in force
+        lp.set_objective({0: -1.0, y: -1.0})
+        frozen = lp.freeze()
+        # Freed, re-capped, freed again: each solve matches a rebuild
+        # without (or with) the tagged row.
+        for cap in (np.inf, 1.0, np.inf):
+            sol = frozen.solve(rhs={"cap": cap})
+            assert sol.ok
+            assert sol.x[0] == pytest.approx(10.0 if cap == np.inf else cap)
+            assert sol.x[1] == pytest.approx(2.0)
+        assert frozen.n_solves == 3
 
     def test_equality_row_override_moves_both_bounds(self):
         lp = LinearProgram()

@@ -246,6 +246,25 @@ class TestCachedSolve:
         assert warm.solution.objective == fresh.solution.objective
         assert np.array_equal(warm.solution.x, fresh.solution.x)
 
+    def test_entry_keyed_under_previous_model_layer_misses(
+        self, tmp_path, trace, monkeypatch
+    ):
+        # Model layer 5 changed the answers at saturated caps: a payload
+        # stored under the layer-4 key must never be served.
+        import repro.exec.keys as keys_mod
+        from repro.core.model import MODEL_LAYER_VERSION
+
+        assert MODEL_LAYER_VERSION >= 5
+        cache = SolverCache(tmp_path)
+        with monkeypatch.context() as mp:
+            mp.setattr(keys_mod, "MODEL_LAYER_VERSION", 4)
+            stale = keys_mod.fixed_order_lp_key(trace, 50.0)
+        cache.put(stale, {"stale": True})
+        result = cached_solve_fixed_order_lp(trace, 50.0, cache=cache)
+        assert (cache.hits, cache.misses, cache.stores) == (0, 1, 2)
+        assert result.feasible
+        assert cache.get(stale) == {"stale": True}  # still there, unread
+
     def test_infeasible_result_is_cached(self, tmp_path, trace):
         cache = SolverCache(tmp_path)
         cold = cached_solve_fixed_order_lp(trace, 1.0, cache=cache)

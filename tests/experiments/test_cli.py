@@ -84,8 +84,13 @@ class TestRunSubcommand:
         assert audit["solves"][0]["status"] == "optimal"
         # Cache traffic is counted by the metrics, not the audit.
         assert set(audit) == {"solves"}
+        # The quick run's cap is below the power ceiling: one solve at
+        # the cap and no relaxed one.
+        assert [s["source"] for s in audit["solves"]] == ["cold"]
         assert doc["phases"]["solve"]["calls"] == len(audit["solves"])
         assert doc["counters"]["solve.total"] == len(audit["solves"])
+        assert "solve.relaxed" not in doc["phases"]
+        assert "solve.saturated" not in doc["counters"]
 
 
 class TestScenarioRuns:
@@ -394,6 +399,10 @@ class TestReportSubcommand:
         assert "per-policy time across the cap grid" in out
         assert "static" in out and "lp" in out
         assert "cache and solver traffic" in out
+        # 40 W is below the power ceiling (one solve); 60 W is above it
+        # and is served by the relaxed optimum.
+        assert re.search(r"solves\s*:\s*1\n", out)
+        assert re.search(r"saturated answers\s*:\s*1\n", out)
         assert "failed cells" in out and "InjectedFault" in out
         assert "slowest cells" in out
 

@@ -52,7 +52,9 @@ COUNTER_CLASSES = {
     "sim.mpi_waits": True,
     "sim.tasks": True,
     "solve.cold": False,
+    "solve.relaxed": False,
     "solve.resolve": False,
+    "solve.saturated": True,
     "solve.total": True,
     "task.deadline_expired": False,
     "task.failed": False,
@@ -122,9 +124,11 @@ class TestGoldenSerialVsParallel:
 
         # Drive every cheaply reachable counter into one registry: a
         # cached, deduplicated, journaled, faulted sweep, its resume, a
-        # retried pool cell, and queue submissions.
+        # retried pool cell, and queue submissions.  35 W and 45 W are
+        # below the power ceiling (a cold solve, then a re-solve); the
+        # default grid's 60 W is above it (a relaxed solve answers it).
         with use_observer(Observer(metrics=metrics)):
-            spec = small_spec(caps=(40.0, 60.0, 40.0))
+            spec = small_spec(caps=(35.0, 45.0, 35.0))
             cache = SolverCache(tmp_path / "cache")
             run_scenarios(spec, cache=cache)
             run_scenarios(spec, cache=cache)
@@ -140,7 +144,8 @@ class TestGoldenSerialVsParallel:
             "cache.hit", "cache.miss", "cache.store", "cell.failed",
             "cells.cached", "cells.deduped", "journal.resumed",
             "queue.deduped", "queue.submitted", "solve.cold",
-            "solve.resolve", "task.failed", "task.retry",
+            "solve.relaxed", "solve.resolve", "solve.saturated",
+            "task.failed", "task.retry",
         ):
             assert metrics.counter(name) > 0, name
         for name in metrics.counters:
@@ -222,8 +227,10 @@ class TestObserverShipping:
             serial.metrics
         )
         # The cold/resolve split (and wall seconds) depend on which
-        # worker's warm solver a cell landed on; everything else is
-        # equal, trace included once worker batches are re-sequenced.
+        # worker's warm solver a cell landed on, and so does the number
+        # of relaxed solves (one per solver, absent from the trace);
+        # everything else is equal, trace included once worker batches
+        # are re-sequenced.
         def events(observer):
             docs = observer.recorder.snapshot()
             for doc in docs:
@@ -237,7 +244,22 @@ class TestObserverShipping:
             return [
                 replace(r, wall_s=0.0, source="-")
                 for r in observer.audit.records
+                if r.source != "relaxed"
             ]
         assert solves(parallel) == solves(serial) and solves(serial)
         assert parallel.profile.blocks == serial.profile.blocks == 3
-        assert parallel.phases()["solve"]["calls"] == len(serial.audit.records)
+        assert parallel.phases()["solve"]["calls"] == len(solves(serial))
+
+        def relaxed(observer):
+            return [r for r in observer.audit.records if r.source == "relaxed"]
+
+        assert len(relaxed(serial)) == 1  # one solver, one relaxed solve
+        assert all(
+            replace(r, wall_s=0.0) == replace(relaxed(serial)[0], wall_s=0.0)
+            for r in relaxed(parallel)
+        )
+        assert (
+            parallel.phases()["solve.relaxed"]["calls"]
+            == parallel.metrics.counter("solve.relaxed")
+            == len(relaxed(parallel))
+        )
