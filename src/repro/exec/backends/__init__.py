@@ -11,7 +11,7 @@ implement it:
 ``repro.exec.backends.inline``
     :class:`InlineBackend` — runs every task in the calling process.
     No pickling, no subprocesses; deadlines cannot be enforced.  The
-    test and debugging transport.
+    runner's serial transport (``max_workers <= 1``).
 ``repro.exec.backends.pool``
     :class:`ProcessPoolBackend` — a ``ProcessPoolExecutor``, with the
     exact semantics the pre-backend ``ParallelRunner`` had: broken-pool
@@ -22,7 +22,7 @@ implement it:
     idle heartbeats, death detection, and respawn-and-reconnect.  The
     transport the always-on service (:mod:`repro.service`) runs on.
 
-Every backend ships results as the same ``(value, snapshot)`` payload
+Every backend ships results as the same ``(value, snapshot, run_s)`` payload
 (:func:`~repro.exec.backends.base.run_task`), so worker observations
 merge identically whatever the transport — a parallel run's
 deterministic artifacts stay byte-identical to a serial run's.

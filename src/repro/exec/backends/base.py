@@ -33,11 +33,14 @@ transport runs tasks through it so results travel with one
 them in submission order — the mechanism behind serial-vs-parallel
 byte-identity.  When the parent observes nothing, workers build and
 ship nothing.  In-process transports return ``None`` snapshots too:
-the parent's own observer already saw everything.
+the parent's own observer already saw everything.  Every payload also
+carries the task's own run time, measured where it ran, so a cell's
+timing never includes the time it spent queued behind other cells.
 """
 
 from __future__ import annotations
 
+import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -54,10 +57,11 @@ __all__ = [
     "run_task",
 ]
 
-#: What every transport ships back: ``(value, snapshot)``, where
+#: What every transport ships back: ``(value, snapshot, run_s)``, where
 #: ``snapshot`` is the worker's :meth:`Observer.snapshot`, or ``None``
 #: when the parent observes nothing (or the task ran in-process, straight
-#: into the parent's observer).
+#: into the parent's observer), and ``run_s`` is the wall-clock seconds
+#: ``fn(item)`` took where it ran.
 TaskPayload = tuple
 
 
@@ -121,8 +125,10 @@ def run_task(
     """
     observer = Observer.fresh(sinks)
     with use_observer(observer):
+        t0 = time.perf_counter()
         value = fn(item)
-    return value, observer.snapshot() if sinks else None
+        run_s = time.perf_counter() - t0
+    return value, observer.snapshot() if sinks else None, run_s
 
 
 class ExecBackend(ABC):
@@ -135,11 +141,6 @@ class ExecBackend(ABC):
     the backend owns :meth:`shutdown`; the runner only shuts down
     backends it built itself.
     """
-
-    #: True when tasks run in the calling process: observability is
-    #: recorded directly into the parent's active context, payload
-    #: snapshots come back ``None``, and deadlines cannot be enforced.
-    in_process: bool = False
 
     @abstractmethod
     def start(self, n_workers: int) -> None:
@@ -197,17 +198,17 @@ class ExecBackend(ABC):
 def make_backend(name: str, **kwargs: Any) -> ExecBackend:
     """Construct a backend by registry name.
 
-    ``inline`` (in-process serial), ``process`` (the default
-    ``ProcessPoolExecutor`` transport), or ``socket`` (a worker fleet
-    over local sockets; see :class:`~repro.exec.backends.sockets.
-    SocketWorkerBackend` for its keyword arguments).
+    ``process`` (the default ``ProcessPoolExecutor`` transport) or
+    ``socket`` (a worker fleet over local sockets; see
+    :class:`~repro.exec.backends.sockets.SocketWorkerBackend` for its
+    keyword arguments).  The in-process
+    :class:`~repro.exec.backends.inline.InlineBackend` is not a choice
+    here: it is the runner's own transport for serial maps.
     """
-    from .inline import InlineBackend
     from .pool import ProcessPoolBackend
     from .sockets import SocketWorkerBackend
 
     factories: dict[str, Callable[..., ExecBackend]] = {
-        "inline": InlineBackend,
         "process": ProcessPoolBackend,
         "socket": SocketWorkerBackend,
     }

@@ -27,14 +27,14 @@ The fleet survives its workers:
   managed fleets, waits for replacements to reconnect); queued tasks
   drain onto whichever workers are alive.
 
-Wire protocol (version 2): each frame is a 4-byte big-endian length
+Wire protocol (version 3): each frame is a 4-byte big-endian length
 followed by a pickled dict.  Kinds: ``hello``/``welcome`` (handshake),
 ``task`` (parent→worker: a task id plus the function, item, and the
 names of the parent's observer sinks), ``result``/``task_error``
-(worker→parent; a result carries the ``(value, snapshot)`` payload),
-``heartbeat`` (worker→parent), ``shutdown`` (parent→worker).  Tasks run
-through :func:`~repro.exec.backends.base.run_task`, so results carry
-the same observability payloads as every other transport and the
+(worker→parent; a result carries the ``(value, snapshot, run_s)``
+payload), ``heartbeat`` (worker→parent), ``shutdown`` (parent→worker).
+Tasks run through :func:`~repro.exec.backends.base.run_task`, so results
+carry the same observability payloads as every other transport and the
 parent's submission-order merge keeps parallel artifacts byte-identical
 to serial ones.
 
@@ -84,8 +84,9 @@ __all__ = [
 #: Bumped whenever the frame layout, message kinds or payload shape
 #: change; a worker whose hello carries a different version is refused
 #: at handshake.  2: tasks name observer sinks, results are
-#: ``(value, snapshot)``.
-PROTOCOL_VERSION = 2
+#: ``(value, snapshot)``.  3: results carry the task's own run time,
+#: ``(value, snapshot, run_s)``.
+PROTOCOL_VERSION = 3
 
 _HANDSHAKE_TIMEOUT_S = 10.0
 
@@ -650,7 +651,7 @@ def run_worker(
 
     Connects to ``address``, handshakes with ``token``, then loops:
     receive a task, run it through :func:`~repro.exec.backends.base.
-    run_task`, send back its ``(value, snapshot)`` payload (or the
+    run_task`, send back its ``(value, snapshot, run_s)`` payload (or the
     task's exception).  A daemon thread heartbeats every
     ``heartbeat_s`` so long solves don't read as hangs.  Returns a
     process exit code.

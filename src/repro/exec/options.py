@@ -43,8 +43,8 @@ class ExecutionOptions:
     #: individual cells are cheap; see ParallelRunner.batch_size).
     task_batch_size: int = 1
     #: Task transport for parallel sweeps: "process" (the classic
-    #: per-map ProcessPoolExecutor), "socket" (a spawned local worker
-    #: fleet), or "inline" (in-process; tests/debugging).  See
+    #: per-map ProcessPoolExecutor) or "socket" (a spawned local worker
+    #: fleet).  Serial sweeps always run in-process.  See
     #: repro.exec.backends.
     task_backend: str = "process"
 
@@ -53,6 +53,37 @@ class ExecutionOptions:
         if self.cache_dir is None or not self.use_cache:
             return None
         return SolverCache(self.cache_dir)
+
+    @contextmanager
+    def runner(self, workers: int | None = None, backoff_seed: int = 0):
+        """A :class:`~repro.exec.parallel.ParallelRunner` per these options.
+
+        Timeout, retries, backoff, batch size and task transport all come
+        from the options; ``workers`` (default: the options' own) sets
+        the width.  A parallel map on a non-default transport gets a
+        backend built here and shut down when the block exits; a serial
+        one (``workers <= 1``) runs in-process whatever the transport.
+        """
+        from .backends import make_backend
+        from .parallel import ParallelRunner, resolve_workers
+
+        workers = resolve_workers(self.workers if workers is None else workers)
+        backend = None
+        if workers > 1 and self.task_backend != "process":
+            backend = make_backend(self.task_backend)
+        try:
+            yield ParallelRunner(
+                max_workers=workers,
+                timeout_s=self.task_timeout_s,
+                retries=self.task_retries,
+                backoff_s=self.task_backoff_s,
+                backoff_seed=backoff_seed,
+                batch_size=self.task_batch_size,
+                backend=backend,
+            )
+        finally:
+            if backend is not None:
+                backend.shutdown()
 
 
 _current: ContextVar[ExecutionOptions] = ContextVar(

@@ -4,25 +4,23 @@ A cap sweep is embarrassingly parallel: every (workload, cap, seed) cell
 is an independent, fully seeded computation.  :class:`ParallelRunner`
 fans such cells out over a task transport — an
 :class:`~repro.exec.backends.base.ExecBackend`: the default process
-pool, an in-process inline backend, or a socket worker fleet — while
-keeping the *results in submission order*: the caller sees exactly the
-list a serial loop would produce, so parallel and serial runs are
-interchangeable byte-for-byte.
+pool, a socket worker fleet, or (for serial maps) the in-process inline
+backend — while keeping the *results in submission order*: the caller
+sees exactly the list a serial loop would produce, so parallel and
+serial runs are interchangeable byte-for-byte.
 
-Failure semantics come in two flavors:
+Every map, serial or parallel, runs through one dispatch loop with one
+failure semantics.  :meth:`ParallelRunner.map_outcomes` settles every
+item into a :class:`CellOutcome`, ok or failed, and fires an
+``on_outcome`` callback per item in submission order, which is how the
+sweep journal checkpoints progress (see :mod:`repro.exec.checkpoint`).
+:meth:`ParallelRunner.map` is the strict wrapper: once every item has
+settled, the first item that failed (or timed out) on every allowed
+attempt raises :class:`ParallelExecutionError` (or
+:class:`PoolBrokenError` when the workers underneath it kept dying),
+chained from the item's own exception.
 
-* :meth:`ParallelRunner.map` — the strict map: a task that fails (or
-  times out) on every allowed attempt aborts the whole map with
-  :class:`ParallelExecutionError` (or :class:`PoolBrokenError` when the
-  workers underneath it kept dying).
-* :meth:`ParallelRunner.map_outcomes` — the keep-going map: every item
-  produces a :class:`CellOutcome`, ok or failed, and the sweep completes
-  around failed cells.  An ``on_outcome`` callback fires per item in
-  submission order, which is how the sweep journal checkpoints progress
-  (see :mod:`repro.exec.checkpoint`).
-
-Reliability machinery, hardened for production sweeps and shared by
-every backend:
+Reliability machinery, shared by every backend:
 
 * per-task deadlines are measured **from submission**, not from when the
   parent starts waiting on that index — every concurrent cell gets the
@@ -40,9 +38,11 @@ every backend:
   jitter (:func:`retry_delay_s`), so a thundering herd of workers
   retrying a shared resource de-synchronizes the same way every run.
 
-With ``max_workers <= 1`` (and no injected backend) the runner degrades
-to a plain in-process loop — no pickling, no subprocesses — which is
-also the benchmark harness's measured path.
+With ``max_workers <= 1`` or a single item (and no injected backend) the
+loop runs on :class:`~repro.exec.backends.inline.InlineBackend`: each
+task runs lazily, in order, on the caller's thread inside the caller's
+observer — no pickling, no subprocesses, no deadlines — which is also
+the benchmark harness's measured serial path.
 
 Observation: when the parent has an :class:`~repro.obs.observer.
 Observer` with sinks, each worker runs its task under a fresh observer
@@ -69,6 +69,7 @@ from .backends.base import (
     TaskSpec,
     WorkerLostError,
 )
+from .backends.inline import InlineBackend
 from .backends.pool import ProcessPoolBackend
 
 __all__ = [
@@ -79,6 +80,9 @@ __all__ = [
     "retry_delay_s",
     "resolve_workers",
 ]
+
+#: :attr:`CellOutcome.how` of an item whose workers kept dying.
+_BROKE_POOL = "broke the worker pool"
 
 
 class ParallelExecutionError(RuntimeError):
@@ -104,8 +108,12 @@ class CellOutcome:
     ``error_type``/``error_message``/``attempts`` are deterministic for
     deterministic failures (e.g. injected faults), so they may be stored
     in journals and manifests that must be byte-stable across runs.
-    ``elapsed_s`` is wall-clock and ``error`` is the live exception —
-    both are diagnostics only and excluded from :meth:`failure_doc`.
+    ``how`` says what exhausted a failed item's attempts: ``"failed"``
+    (its own exception), ``"timed out"``, or ``"broke the worker pool"``.
+    ``elapsed_s`` is the wall-clock run time, measured where the item
+    ran, of the attempt that produced its value (0 for a failed item),
+    and ``error`` is the live exception — both are diagnostics only and
+    excluded from :meth:`failure_doc`.
     """
 
     index: int
@@ -116,6 +124,7 @@ class CellOutcome:
     attempts: int = 1
     elapsed_s: float = 0.0
     error: BaseException | None = field(default=None, compare=False, repr=False)
+    how: str | None = None
 
     def failure_doc(self) -> dict:
         """Deterministic JSON-safe record of a failed outcome."""
@@ -164,10 +173,10 @@ def _run_batch(packed: tuple) -> list[dict]:
     many-caps/cheap-solve regime a warm parametric sweep produces).
     Each item retries *in the worker* on the same deterministic backoff
     schedule as the unbatched map — :func:`retry_delay_s` keyed by the
-    item's global index — and settles into a structured doc, so one
-    failing item never discards its batch-mates' results.  The retry and
-    failure counters land in the worker observer that
-    :func:`~repro.exec.backends.base.run_task` snapshots around the
+    item's global index — and settles into a structured doc (with its
+    own run time), so one failing item never discards its batch-mates'
+    results.  The retry and failure counters land in the worker observer
+    that :func:`~repro.exec.backends.base.run_task` snapshots around the
     whole batch.
     """
     fn, batch, start, retries, backoff_s, seed = packed
@@ -176,9 +185,13 @@ def _run_batch(packed: tuple) -> list[dict]:
         index = start + k
         attempt = 0
         while True:
+            t0 = time.perf_counter()
             try:
                 value = fn(item)
-                docs.append({"ok": True, "value": value, "attempts": attempt + 1})
+                docs.append({
+                    "ok": True, "value": value, "attempts": attempt + 1,
+                    "elapsed_s": time.perf_counter() - t0,
+                })
                 break
             except Exception as exc:
                 attempt += 1
@@ -202,16 +215,16 @@ class ParallelRunner:
     Parameters
     ----------
     max_workers:
-        Worker processes; ``<= 1`` runs serially in-process (``0`` means
+        Worker processes; ``<= 1`` runs serially in-process on
+        :class:`~repro.exec.backends.inline.InlineBackend` (``0`` means
         one per CPU core, via :func:`resolve_workers`).
     timeout_s:
         Per-task wall-clock budget, measured from the task's (re-)
         submission.  None waits forever.  A timed-out task is retried;
         its abandoned worker finishes (or idles) in the background —
         no transport here can interrupt a running call — so timeouts
-        should be generous, a last line of defense.  (The inline
-        backend runs tasks on the caller's thread and cannot enforce
-        deadlines at all.)
+        should be generous, a last line of defense.  (Serial maps run
+        tasks on the caller's thread and cannot enforce deadlines.)
     retries:
         Extra attempts per task after the first failure or timeout.
     backoff_s:
@@ -227,18 +240,17 @@ class ParallelRunner:
         individual cells are cheap; results, outcome callbacks, and the
         deterministic per-item retry schedule are unchanged.  Item
         failures settle in-worker; the per-task ``timeout_s`` budget
-        scales to ``timeout_s * batch_size`` per dispatch.  Serial runs
+        scales to ``timeout_s * batch_size`` per dispatch.  Serial maps
         ignore it.
     backend:
         The task transport (:class:`~repro.exec.backends.base.
         ExecBackend`).  None — the default — builds a fresh
-        :class:`~repro.exec.backends.pool.ProcessPoolBackend` per map
-        and shuts it down afterwards, reproducing the classic
-        process-pool semantics exactly.  An injected backend is started
-        idempotently and **never shut down by the runner** (its creator
-        owns its lifecycle — how a service dispatcher keeps one warm
-        fleet across many sweeps); with one injected, even single-item
-        maps route through it.
+        :class:`~repro.exec.backends.pool.ProcessPoolBackend` per
+        parallel map and shuts it down afterwards.  An injected backend
+        is started idempotently and **never shut down by the runner**
+        (its creator owns its lifecycle — how a service dispatcher keeps
+        one warm fleet across many sweeps); with one injected, even
+        single-item maps route through it.
     """
 
     def __init__(
@@ -271,27 +283,25 @@ class ParallelRunner:
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
         """Apply ``fn`` to every item; results in item order.
 
-        A task that fails every attempt aborts the map with
+        The strict form of :meth:`map_outcomes`: once every item has
+        settled, the first one that failed every attempt raises
         :class:`ParallelExecutionError` (:class:`PoolBrokenError` when
-        the workers themselves kept dying).  ``fn`` and the items must
-        be picklable on out-of-process transports (``fn`` should be a
-        module-level function).  Serially, exceptions propagate raw —
-        the in-process loop adds no retry machinery.
+        the workers themselves kept dying), chained from its exception.
+        ``fn`` and the items must be picklable on out-of-process
+        transports (``fn`` should be a module-level function).
         """
-        items = list(items)
-        if self.backend is None and (self.max_workers <= 1 or len(items) <= 1):
-            return [fn(item) for item in items]
-        if self.batch_size > 1:
-            return [
-                outcome.value
-                for outcome in self._map_batched(
-                    fn, items, keep_going=False, on_outcome=None
-                )
-            ]
-        return [
-            outcome.value
-            for outcome in self._map_parallel(fn, items, keep_going=False)
-        ]
+        outcomes = self.map_outcomes(fn, items)
+        failed = next((o for o in outcomes if not o.ok), None)
+        if failed is not None:
+            error_cls = (
+                PoolBrokenError if failed.how == _BROKE_POOL
+                else ParallelExecutionError
+            )
+            raise error_cls(
+                f"task {failed.index} {failed.how} on all {failed.attempts} "
+                f"attempt(s): {failed.error_type}: {failed.error_message}"
+            ) from failed.error
+        return [outcome.value for outcome in outcomes]
 
     def map_outcomes(
         self,
@@ -306,66 +316,19 @@ class ParallelRunner:
         ``on_outcome`` (when given) fires once per item, in submission
         order, as soon as that item settles — the checkpoint hook: an
         interrupted sweep has journaled every settled prefix cell.
-        Serially the same retry/backoff policy applies in-process
-        (without the timeout, which needs an out-of-process transport
-        to enforce).
         """
         items = list(items)
         if self.backend is None and (self.max_workers <= 1 or len(items) <= 1):
-            return self._map_serial_outcomes(fn, items, on_outcome)
+            return self._map_parallel(fn, items, on_outcome, InlineBackend())
         if self.batch_size > 1:
-            return self._map_batched(
-                fn, items, keep_going=True, on_outcome=on_outcome
-            )
-        return self._map_parallel(fn, items, keep_going=True, on_outcome=on_outcome)
-
-    # ------------------------------------------------------------------
-    def _map_serial_outcomes(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        on_outcome: Callable[[CellOutcome], None] | None,
-    ) -> list[CellOutcome]:
-        outcomes: list[CellOutcome] = []
-        for i, item in enumerate(items):
-            attempt = 0
-            t0 = time.monotonic()
-            while True:
-                try:
-                    value = fn(item)
-                    outcome = CellOutcome(
-                        index=i, ok=True, value=value, attempts=attempt + 1,
-                        elapsed_s=time.monotonic() - t0,
-                    )
-                    break
-                except Exception as exc:
-                    attempt += 1
-                    if attempt > self.retries:
-                        inc("task.failed", operational=True)
-                        outcome = CellOutcome(
-                            index=i, ok=False,
-                            error_type=type(exc).__name__,
-                            error_message=str(exc),
-                            attempts=attempt,
-                            elapsed_s=time.monotonic() - t0,
-                            error=exc,
-                        )
-                        break
-                    inc("task.retry", operational=True)
-                    time.sleep(
-                        retry_delay_s(self.backoff_seed, i, attempt, self.backoff_s)
-                    )
-            outcomes.append(outcome)
-            if on_outcome is not None:
-                on_outcome(outcome)
-        return outcomes
+            return self._map_batched(fn, items, on_outcome)
+        return self._map_parallel(fn, items, on_outcome)
 
     # ------------------------------------------------------------------
     def _map_batched(
         self,
         fn: Callable[[Any], Any],
         items: Sequence[Any],
-        keep_going: bool,
         on_outcome: Callable[[CellOutcome], None] | None,
     ) -> list[CellOutcome]:
         """Batched fan-out: contiguous item groups per dispatch.
@@ -377,8 +340,7 @@ class ParallelRunner:
         batch size.  Outcomes flatten back to per-item
         :class:`CellOutcome` objects in submission order, and
         ``on_outcome`` fires per item as its batch settles, so journals
-        checkpoint identically to the unbatched map.  ``elapsed_s`` on a
-        batched outcome is its batch's wall-clock (diagnostics only).
+        checkpoint identically to the unbatched map.
         """
         bs = self.batch_size
         starts = list(range(0, len(items), bs))
@@ -412,7 +374,8 @@ class ParallelRunner:
                         error_type=doc.get("error_type"),
                         error_message=doc.get("error_message"),
                         attempts=int(doc["attempts"]),
-                        elapsed_s=b_out.elapsed_s,
+                        elapsed_s=doc.get("elapsed_s", 0.0),
+                        how=None if doc["ok"] else "failed",
                     )
                 else:
                     # The whole dispatch failed (timeout / worker death
@@ -424,29 +387,14 @@ class ParallelRunner:
                         error_type=b_out.error_type,
                         error_message=b_out.error_message,
                         attempts=b_out.attempts,
-                        elapsed_s=b_out.elapsed_s,
                         error=b_out.error,
+                        how=b_out.how,
                     )
                 flat.append(outcome)
                 if on_outcome is not None:
                     on_outcome(outcome)
 
-        # Batch-level keep_going mirrors the caller's: strict maps still
-        # abort on an infrastructure failure mid-sweep.  Item-level
-        # failures never raise out of _run_batch, so the strict check
-        # below is what enforces them.
-        batch_runner._map_parallel(
-            _run_batch, batch_items, keep_going=keep_going,
-            on_outcome=settle_batch,
-        )
-        if not keep_going:
-            for outcome in flat:
-                if not outcome.ok:
-                    raise ParallelExecutionError(
-                        f"task {outcome.index} failed on all "
-                        f"{outcome.attempts} attempt(s): "
-                        f"{outcome.error_message}"
-                    ) from outcome.error
+        batch_runner._map_parallel(_run_batch, batch_items, settle_batch)
         return flat
 
     # ------------------------------------------------------------------
@@ -454,9 +402,15 @@ class ParallelRunner:
         self,
         fn: Callable[[Any], Any],
         items: Sequence[Any],
-        keep_going: bool,
         on_outcome: Callable[[CellOutcome], None] | None = None,
+        backend: ExecBackend | None = None,
     ) -> list[CellOutcome]:
+        """The one dispatch loop: submit every item, settle them in order.
+
+        ``backend`` overrides the runner's transport for this map (the
+        serial path passes an :class:`InlineBackend`); with neither, a
+        per-map process pool is built and shut down afterwards.
+        """
         if not items:
             return []
         outcomes: list[CellOutcome | None] = [None] * len(items)
@@ -464,7 +418,8 @@ class ParallelRunner:
         sinks = observer.sinks
         n_workers = min(self.max_workers, len(items))
 
-        backend = self.backend
+        if backend is None:
+            backend = self.backend
         owns_backend = backend is None
         if owns_backend:
             backend = ProcessPoolBackend()
@@ -495,7 +450,7 @@ class ParallelRunner:
                         wait = None
                         if deadlines[i] is not None:
                             wait = max(0.0, deadlines[i] - time.monotonic())
-                        result, snapshot = backend.result(handles[i], wait)
+                        result, snapshot, run_s = backend.result(handles[i], wait)
                         settled = backend.settled_at(handles[i])
                         if (
                             deadlines[i] is not None
@@ -507,10 +462,9 @@ class ParallelRunner:
                             raise BackendTimeoutError(TimeoutError(
                                 f"task {i} completed after its deadline"
                             ))
-                        elapsed = time.monotonic() - started[i]
                         outcomes[i] = CellOutcome(
                             index=i, ok=True, value=result, attempts=attempt + 1,
-                            elapsed_s=elapsed,
+                            elapsed_s=run_s,
                         )
                         # Fold worker observability in submission order:
                         # the loop consumes handles by index, so the
@@ -520,18 +474,20 @@ class ParallelRunner:
                         # already recorded everything live).
                         if snapshot is not None:
                             observer.merge(snapshot)
-                        # Dispatch latency includes queueing and IPC, so
-                        # it is wall-clock-only: operational by contract.
+                        # Dispatch latency (first submission to arrival)
+                        # includes queueing and IPC, so it is
+                        # wall-clock-only: operational by contract.
                         observe(
-                            "task.dispatch_wall_s", elapsed, operational=True
+                            "task.dispatch_wall_s",
+                            time.monotonic() - started[i],
+                            operational=True,
                         )
                         break
                     except BackendTimeoutError as exc:
                         backend.cancel(handles[i])
                         inc("task.deadline_expired", operational=True)
                         attempt, failed = self._note_failure(
-                            i, attempt, "timed out", exc.cause, keep_going,
-                            started, outcomes,
+                            i, attempt, "timed out", exc.cause, outcomes,
                         )
                         if failed:
                             break
@@ -545,8 +501,7 @@ class ParallelRunner:
                         # culprit.
                         backend.recover()
                         attempt, failed = self._note_failure(
-                            i, attempt, "broke the worker pool", exc.cause,
-                            keep_going, started, outcomes, broke_pool=True,
+                            i, attempt, _BROKE_POOL, exc.cause, outcomes,
                         )
                         for j in range(i + (1 if failed else 0), len(items)):
                             if outcomes[j] is None and backend.needs_resubmit(
@@ -557,8 +512,7 @@ class ParallelRunner:
                             break
                     except Exception as exc:
                         attempt, failed = self._note_failure(
-                            i, attempt, "failed", exc, keep_going,
-                            started, outcomes,
+                            i, attempt, "failed", exc, outcomes,
                         )
                         if failed:
                             break
@@ -574,19 +528,15 @@ class ParallelRunner:
         self,
         index: int,
         attempt: int,
-        what: str,
+        how: str,
         exc: BaseException,
-        keep_going: bool,
-        started: list[float],
         outcomes: list[CellOutcome | None],
-        broke_pool: bool = False,
     ) -> tuple[int, bool]:
         """Account one failed attempt; returns (attempt, exhausted).
 
         Below the retry budget: sleeps the deterministic backoff and
         reports (attempt, False) so the caller resubmits.  At the
-        budget: either records a failed :class:`CellOutcome`
-        (``keep_going``) or raises.
+        budget: records the item's failed :class:`CellOutcome`.
         """
         attempt += 1
         if attempt <= self.retries:
@@ -596,17 +546,12 @@ class ParallelRunner:
             )
             return attempt, False
         inc("task.failed", operational=True)
-        if keep_going:
-            outcomes[index] = CellOutcome(
-                index=index, ok=False,
-                error_type=type(exc).__name__,
-                error_message=str(exc),
-                attempts=attempt,
-                elapsed_s=time.monotonic() - started[index],
-                error=exc,
-            )
-            return attempt, True
-        error_cls = PoolBrokenError if broke_pool else ParallelExecutionError
-        raise error_cls(
-            f"task {index} {what} on all {attempt} attempt(s): {exc!r}"
-        ) from exc
+        outcomes[index] = CellOutcome(
+            index=index, ok=False,
+            error_type=type(exc).__name__,
+            error_message=str(exc),
+            attempts=attempt,
+            error=exc,
+            how=how,
+        )
+        return attempt, True

@@ -52,8 +52,8 @@ Service mode (PR 9, see ``docs/execution.md`` "Running as a service")::
 
 ``submit`` enqueues one job per (spec, cap) cell into a persistent,
 deduplicating :class:`~repro.service.queue.JobQueue`; ``serve`` drains
-it onto the transport picked by ``--backend`` (``process``, ``socket``
-— a spawned local worker fleet — or ``inline``), journaling results so
+it onto the transport picked by ``--backend`` (``process`` or
+``socket`` — a spawned local worker fleet), journaling results so
 CLI sweeps resume from them byte-identically; ``status`` prints the
 schema-versioned queue status (``--json`` for the validated document);
 ``worker`` runs one externally managed fleet worker.
@@ -328,8 +328,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="smaller sweeps for a fast smoke run")
     parser.add_argument("--benchmark", default="comd",
                         help="benchmark for the run/audit subcommands")
-    parser.add_argument("--cap", type=float, default=50.0,
-                        help="per-socket cap (W) for the run/audit subcommands")
+    parser.add_argument("--cap", type=float, default=None,
+                        help="per-socket cap (W) for the run/audit "
+                             "subcommands (default 50)")
     parser.add_argument("--policies", metavar="LIST", default=None,
                         help="comma-separated registry policy names for an "
                              "N-way run/sweep (e.g. static,conductor,adagio,lp)")
@@ -338,7 +339,8 @@ def main(argv: list[str] | None = None) -> int:
                              "see docs/scenarios.md")
     parser.add_argument("--caps", metavar="LIST", default=None,
                         help="comma-separated per-socket caps (W) for the "
-                             "sweep subcommand (default: the paper's grid)")
+                             "sweep/submit subcommands (default: the "
+                             "paper's grid)")
     parser.add_argument("--node", metavar="NAME", default=None,
                         help="typed-device node for an N-way run/sweep "
                              "(e.g. cpu-gpu, big-little; default: the "
@@ -435,10 +437,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trace-dir", metavar="DIR", default=None,
                         help="like --trace, writing DIR/trace.json[l]")
     parser.add_argument("--backend", default="process",
-                        choices=("process", "socket", "inline"),
+                        choices=("process", "socket"),
                         help="task transport for parallel sweeps and serve: "
-                             "process (default), socket (a spawned local "
-                             "worker fleet), or inline (in-process)")
+                             "process (default) or socket (a spawned local "
+                             "worker fleet); --workers 1 runs in-process")
     parser.add_argument("--queue", metavar="DIR", default=None,
                         help="job-queue directory for the submit/serve/"
                              "status subcommands (docs/execution.md)")
@@ -479,6 +481,14 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--batch-size must be >= 1, got {args.batch_size}")
 
     command = args.exhibits[0] if args.exhibits else None
+    # sweep reads only --caps and run only --cap: the other flag would
+    # be silently ignored.
+    if command == "sweep" and args.cap is not None:
+        parser.error("sweep takes --caps LIST, not --cap")
+    if command == "run" and args.caps is not None:
+        parser.error("run takes --cap W, not --caps")
+    if args.cap is None:
+        args.cap = 50.0
 
     resilience_flags = args.keep_going or args.inject_faults or (
         # report *reads* a journal; serve *shares* one with CLI sweeps

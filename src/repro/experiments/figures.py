@@ -20,7 +20,6 @@ from ..core.model import build_problem_instance
 from ..exec.cache import SolverCache
 from ..exec.keys import solver_key
 from ..exec.options import get_execution_options
-from ..exec.parallel import ParallelRunner
 from ..machine.configuration import ConfigPoint, measure_task_space
 from ..machine.pareto import convex_frontier, pareto_frontier
 from ..machine.power import SocketPowerModel
@@ -240,22 +239,19 @@ def figure8_flow_vs_fixed(
 ) -> Figure8Result:
     """Reproduce Figure 8 on the two-rank asynchronous exchange.
 
-    The per-cap cells (an LP plus an ILP each) fan out over the ambient
-    :class:`~repro.exec.options.ExecutionOptions` workers and are
-    memoized in the ambient cache; the default options run the paper's
-    serial, uncached loop.
+    The per-cap cells (an LP plus an ILP each) fan out through the
+    ambient :class:`~repro.exec.options.ExecutionOptions` runner (the
+    same workers, transport, retries and batch size as every sweep) and
+    are memoized in the ambient cache; the default options run the
+    paper's serial, uncached loop.
     """
     caps = [float(c) for c in np.linspace(cap_min_w, cap_max_w, n_caps)]
     opts = get_execution_options()
     cache = opts.make_cache()
     cache_root = str(cache.root) if cache is not None else None
-    runner = ParallelRunner(
-        max_workers=opts.workers,
-        timeout_s=opts.task_timeout_s,
-        retries=opts.task_retries,
-    )
     cells = [(cap, phases, time_limit_s, cache_root) for cap in caps]
-    pairs = runner.map(_fig8_cell, cells)
+    with opts.runner() as runner:
+        pairs = runner.map(_fig8_cell, cells)
     return Figure8Result(
         caps_w=caps,
         fixed_s=[fixed for fixed, _ in pairs],

@@ -34,19 +34,13 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
-from ..exec.backends import make_backend
 from ..exec.checkpoint import SweepJournal
 from ..core.model import ProblemInstance, build_problem_instance
 from ..exec.cache import SolverCache
 from ..exec.faults import FaultInjector
 from ..exec.keys import scenario_cell_key
 from ..exec.options import get_execution_options
-from ..exec.parallel import (
-    CellOutcome,
-    ParallelExecutionError,
-    ParallelRunner,
-    resolve_workers,
-)
+from ..exec.parallel import CellOutcome, ParallelExecutionError, resolve_workers
 from ..machine.device import LEGACY_NODE, NodeSpec, get_node, rank_nodes
 from ..machine.frontiers import FrontierStore, NodeFrontierStore
 from ..machine.power import SocketPowerModel
@@ -69,9 +63,11 @@ __all__ = [
     "ScenarioCell",
     "ScenarioResult",
     "cell_payload",
+    "journal_cell_outcome",
     "reset_cap_solvers",
     "run_scenario_cell",
     "run_scenarios",
+    "scenario_cell_task",
     "policy_iteration_time",
 ]
 
@@ -363,13 +359,7 @@ def _emit_power_counters(
 
 # ----------------------------------------------------------------------
 def cell_payload(spec: ScenarioSpec, cell: ScenarioCell) -> dict:
-    """The cache/journal payload of one cell: schema-guarded, spec-derived.
-
-    Public because the service dispatcher journals cells it computes on
-    behalf of queued jobs with exactly the payload ``run_scenarios``
-    writes — the two must stay byte-compatible for resume to work across
-    the CLI and the service.
-    """
+    """The cache/journal payload of one cell: schema-guarded, spec-derived."""
     return {
         "scenario_layer": SCENARIO_LAYER_VERSION,
         "cell_hash": spec.cell_hash(),
@@ -475,6 +465,31 @@ def run_scenario_cell(
     return cell
 
 
+def _gap_cell(
+    spec: ScenarioSpec,
+    cap_per_socket_w: float,
+    registry: PolicyRegistry,
+    schedulable: bool,
+    failure: CellFailure | None = None,
+) -> ScenarioCell:
+    """A cell with no times: an unschedulable cap or a failed computation."""
+    outcomes = {
+        p.label: PolicyOutcome(
+            name=p.label, policy=p.policy,
+            kind=registry.get(p.policy).kind, time_s=None,
+        )
+        for p in spec.policies
+    }
+    return ScenarioCell(
+        benchmark=spec.benchmark,
+        cap_per_socket_w=cap_per_socket_w,
+        n_ranks=spec.n_ranks,
+        schedulable=schedulable,
+        outcomes=outcomes,
+        failure=failure,
+    )
+
+
 def _run_scenario_cell(
     spec: ScenarioSpec,
     cap_per_socket_w: float,
@@ -488,20 +503,7 @@ def _run_scenario_cell(
 
     min_cap = shared.app_run.metadata.get("min_cap_per_socket_w")
     if min_cap is not None and cap_per_socket_w < min_cap:
-        outcomes = {
-            p.label: PolicyOutcome(
-                name=p.label, policy=p.policy,
-                kind=registry.get(p.policy).kind, time_s=None,
-            )
-            for p in spec.policies
-        }
-        return ScenarioCell(
-            benchmark=spec.benchmark,
-            cap_per_socket_w=cap_per_socket_w,
-            n_ranks=spec.n_ranks,
-            schedulable=False,
-            outcomes=outcomes,
-        )
+        return _gap_cell(spec, cap_per_socket_w, registry, schedulable=False)
 
     ctx = PolicyContext(
         power_models=shared.power_models,
@@ -553,8 +555,12 @@ def _run_scenario_cell(
 
 
 # ----------------------------------------------------------------------
-def _scenario_cell_task(cell: tuple[str, float, str | None]) -> ScenarioCell:
-    """One (spec, cap) cell — module-level so workers can unpickle it."""
+def scenario_cell_task(cell: tuple[str, float, str | None]) -> ScenarioCell:
+    """One ``(spec JSON, cap, cache root)`` cell on a worker.
+
+    Module-level so pool and fleet workers can unpickle it; the parallel
+    sweep and the service dispatcher both dispatch it.
+    """
     spec_json, cap, cache_root = cell
     spec = ScenarioSpec.from_json(spec_json)
     cache = SolverCache(cache_root) if cache_root is not None else None
@@ -574,28 +580,37 @@ def _cell_fault_key(item) -> str:
     return f"cap={float(cap):g}"
 
 
-def _failed_cell(
+
+
+def journal_cell_outcome(
+    journal: SweepJournal | None,
+    key: str,
     spec: ScenarioSpec,
     cap_per_socket_w: float,
-    registry: PolicyRegistry,
-    failure: CellFailure,
-) -> ScenarioCell:
-    """The gap cell standing in for a computation that failed outright."""
-    outcomes = {
-        p.label: PolicyOutcome(
-            name=p.label, policy=p.policy,
-            kind=registry.get(p.policy).kind, time_s=None,
+    outcome: CellOutcome,
+) -> None:
+    """Journal one settled cell: its payload when ok, its failure doc if not.
+
+    The one journal writer for sweep cells: ``run_scenarios`` and the
+    service dispatcher both settle through it, so a cell computed by
+    either resumes byte-identically in the other.  ``wall_s`` is a
+    diagnostic extra (the slowest-cell table of ``repro-exp report``):
+    the cell's own run time where it ran, never its wait in the queue.
+    Journal *payloads* stay byte-deterministic and resume ignores it.
+    """
+    if journal is None:
+        return
+    if outcome.ok:
+        journal.record_ok(
+            key, cap_per_socket_w, cell_payload(spec, outcome.value),
+            spec_hash=spec.spec_hash(),
+            wall_s=round(outcome.elapsed_s, 6),
         )
-        for p in spec.policies
-    }
-    return ScenarioCell(
-        benchmark=spec.benchmark,
-        cap_per_socket_w=cap_per_socket_w,
-        n_ranks=spec.n_ranks,
-        schedulable=True,
-        outcomes=outcomes,
-        failure=failure,
-    )
+    else:
+        journal.record_failed(
+            key, cap_per_socket_w, outcome.failure_doc(),
+            spec_hash=spec.spec_hash(),
+        )
 
 
 def run_scenarios(
@@ -616,21 +631,27 @@ def run_scenarios(
     bit-identical to the serial sweep.  ``workers``/``cache`` default to
     the ambient :class:`~repro.exec.options.ExecutionOptions` (serial,
     uncached).  A non-default ``registry`` runs serially: worker
-    processes rebuild policies from the default registry only.
+    processes rebuild policies from the default registry only.  Serial
+    or parallel, the cells go through one
+    :meth:`~repro.exec.parallel.ParallelRunner.map_outcomes` call, so
+    retries and failures behave the same whatever the worker count.
+
+    Spec errors — an unknown policy or config key — raise raw
+    (``KeyError``/``ValueError``) before any cell is dispatched.
 
     Resilience (see ``docs/execution.md``):
 
-    * ``keep_going`` — a cell that exhausts its attempts becomes a
-      failed :class:`ScenarioCell` (a rendered gap, a journal record, a
-      ``cell_failure`` trace event, a manifest entry) instead of
-      aborting the sweep;
+    * a cell that exhausts its attempts becomes a failed
+      :class:`ScenarioCell` (a ``cell_failure`` trace event, a journal
+      record); once every cell has settled, the first failure raises
+      :class:`~repro.exec.parallel.ParallelExecutionError` chained from
+      the cell's exception, unless ``keep_going``, which returns the
+      failed cells as rendered gaps and manifest entries instead;
     * ``journal`` — a :class:`~repro.exec.checkpoint.SweepJournal`
       (or its path) checkpointing every settled cell as it completes;
       on entry, journaled-ok cells are rehydrated without recomputation,
       so an interrupted sweep resumes where it stopped and produces
-      byte-identical output.  Failed cells are retried on resume.
-      Without ``keep_going``, a failure still aborts — after the
-      remaining cells settle and are journaled;
+      byte-identical output.  Failed cells are retried on resume;
     * ``faults`` — a :class:`~repro.exec.faults.FaultInjector` wrapped
       around the cell task (chaos testing; cells are selected by their
       stable ``cap=<cap>`` identity, never by run-scoped paths).
@@ -650,6 +671,10 @@ def run_scenarios(
     if isinstance(journal, (str, Path)):
         journal = SweepJournal(journal)
     reg = registry if registry is not None else default_registry()
+    # A spec error is the caller's, not a cell's: raise it before any
+    # cell is dispatched, instead of retrying it in every cell.
+    for pspec in spec.policies:
+        reg.get(pspec.policy).resolve_config(pspec.config)
     reset_cap_solvers(spec)
     caps = [float(cap) for cap in spec.caps_per_socket_w]
     keys = {
@@ -685,13 +710,13 @@ def run_scenarios(
         inc("cells.deduped", deduped)
     pending = list(multiplicity)
 
-    use_pool = workers > 1 and len(pending) > 1 and registry is None
-    if use_pool:
+    if workers > 1 and len(pending) > 1 and registry is None:
         cache_root = str(cache.root) if cache is not None else None
         spec_json = spec.to_json()
         items: list = [(spec_json, cap, cache_root) for cap in pending]
-        fn = _scenario_cell_task
+        fn = scenario_cell_task
     else:
+        workers = 1
         items = list(pending)
         fn = partial(run_scenario_cell, spec, cache=cache, registry=registry)
     if faults is not None:
@@ -707,39 +732,16 @@ def run_scenarios(
         )
         fn = faults.wrap(fn)
 
-    # Non-default transport (a spawned socket worker fleet, or inline
-    # for debugging) per the ambient options; "process" leaves backend
-    # None so the runner builds its classic per-map process pool.
-    backend = None
-    if use_pool and opts.task_backend != "process":
-        backend = make_backend(opts.task_backend)
-
-    if (
-        keep_going
-        or journal is not None
-        or faults is not None
-        or progress is not None
-    ):
-        def on_outcome(outcome: CellOutcome) -> None:
-            # Fires in submission (cap) order as each cell settles, so
-            # an interrupted sweep has journaled its whole settled
-            # prefix.  Worker cache hit/miss accounting arrives via the
-            # observer snapshots ParallelRunner merges.
-            cap = pending[outcome.index]
-            if progress is not None:
-                for _ in range(multiplicity[cap]):
-                    progress.update(ok=outcome.ok)
-            if outcome.ok:
-                if journal is not None:
-                    # wall_s is a diagnostic extra (slowest-cell tables
-                    # in `repro-exp report`); journal *payloads* stay
-                    # byte-deterministic and resume ignores it.
-                    journal.record_ok(
-                        keys[cap], cap, cell_payload(spec, outcome.value),
-                        spec_hash=spec.spec_hash(),
-                        wall_s=round(outcome.elapsed_s, 6),
-                    )
-                return
+    def on_outcome(outcome: CellOutcome) -> None:
+        # Fires in submission (cap) order as each cell settles, so an
+        # interrupted sweep has journaled its whole settled prefix.
+        # Worker cache hit/miss accounting arrives via the observer
+        # snapshots ParallelRunner merges.
+        cap = pending[outcome.index]
+        if progress is not None:
+            for _ in range(multiplicity[cap]):
+                progress.update(ok=outcome.ok)
+        if not outcome.ok:
             inc("cell.failed")
             emit(CellFailureEvent(
                 benchmark=spec.benchmark,
@@ -748,62 +750,21 @@ def run_scenarios(
                 error_message=outcome.error_message,
                 attempts=outcome.attempts,
             ))
-            if journal is not None:
-                journal.record_failed(
-                    keys[cap], cap, outcome.failure_doc(),
-                    spec_hash=spec.spec_hash(),
-                )
+        journal_cell_outcome(journal, keys[cap], spec, cap, outcome)
 
-        runner = ParallelRunner(
-            max_workers=workers if use_pool else 1,
-            timeout_s=opts.task_timeout_s,
-            retries=opts.task_retries,
-            backoff_s=opts.task_backoff_s,
-            backoff_seed=spec.seed,
-            batch_size=opts.task_batch_size,
-            backend=backend,
+    with opts.runner(workers, backoff_seed=spec.seed) as runner:
+        outcomes = runner.map_outcomes(fn, items, on_outcome=on_outcome)
+    for cap, outcome in zip(pending, outcomes):
+        cells[cap] = outcome.value if outcome.ok else _gap_cell(
+            spec, cap, reg, schedulable=True,
+            failure=CellFailure.from_outcome(outcome),
         )
-        first_failed: CellOutcome | None = None
-        try:
-            for cap, outcome in zip(
-                pending, runner.map_outcomes(fn, items, on_outcome=on_outcome)
-            ):
-                if outcome.ok:
-                    cells[cap] = outcome.value
-                else:
-                    cells[cap] = _failed_cell(
-                        spec, cap, reg, CellFailure.from_outcome(outcome)
-                    )
-                    if first_failed is None:
-                        first_failed = outcome
-        finally:
-            if backend is not None:
-                backend.shutdown()
-        if first_failed is not None and not keep_going:
-            raise ParallelExecutionError(
-                f"cell cap={pending[first_failed.index]:g} "
-                f"{first_failed.error_type} on all {first_failed.attempts} "
-                f"attempt(s): {first_failed.error_message}"
-            ) from first_failed.error
-    elif use_pool:
-        runner = ParallelRunner(
-            max_workers=workers,
-            timeout_s=opts.task_timeout_s,
-            retries=opts.task_retries,
-            backoff_s=opts.task_backoff_s,
-            backoff_seed=spec.seed,
-            batch_size=opts.task_batch_size,
-            backend=backend,
-        )
-        try:
-            for cap, cell in zip(pending, runner.map(fn, items)):
-                cells[cap] = cell
-        finally:
-            if backend is not None:
-                backend.shutdown()
-    else:
-        for cap in pending:
-            cells[cap] = fn(cap)
+    failed = next((o for o in outcomes if not o.ok), None)
+    if failed is not None and not keep_going:
+        raise ParallelExecutionError(
+            f"cell cap={pending[failed.index]:g} {failed.error_type} on all "
+            f"{failed.attempts} attempt(s): {failed.error_message}"
+        ) from failed.error
 
     set_gauge("sweep.cells_total", len(caps))
     return ScenarioResult(spec=spec, cells=[cells[cap] for cap in caps])

@@ -5,10 +5,11 @@ The dispatcher is the service's compute loop: claim every pending job
 :class:`~repro.exec.checkpoint.SweepJournal` already settled, fan the
 rest out through a :class:`~repro.exec.parallel.ParallelRunner` on
 whatever transport the backend provides, and settle each job back into
-the queue as its outcome arrives — journaling exactly the payload
-:func:`~repro.scenarios.run.run_scenarios` would write, so a sweep
-computed by the service resumes byte-identically in the CLI and vice
-versa.
+the queue as its outcome arrives.  Cells run through the same task
+function and settle through the same journal writer
+(:func:`~repro.scenarios.run.journal_cell_outcome`) as
+:func:`~repro.scenarios.run.run_scenarios`, so a sweep computed by the
+service resumes byte-identically in the CLI and vice versa.
 
 Failures never abort the drain: a cell that exhausts its retries is
 journaled as failed and the job marked ``failed`` (resubmitting it
@@ -26,20 +27,11 @@ from ..exec.cache import SolverCache
 from ..exec.checkpoint import SweepJournal
 from ..exec.parallel import CellOutcome, ParallelRunner, resolve_workers
 from ..obs.observer import set_gauge
-from ..scenarios.run import cell_payload, run_scenario_cell
+from ..scenarios.run import journal_cell_outcome, scenario_cell_task
 from ..scenarios.spec import ScenarioSpec
 from .queue import Job, JobQueue
 
 __all__ = ["FleetDispatcher"]
-
-
-def _cell_job_task(item: tuple[str, float, str | None]):
-    """One queued cell — module-level so fleet workers can unpickle it."""
-    spec_json, cap, cache_root = item
-    spec = ScenarioSpec.from_json(spec_json)
-    cache = SolverCache(cache_root) if cache_root is not None else None
-    return run_scenario_cell(spec, cap, cache=cache)
-
 
 class FleetDispatcher:
     """The queue-draining loop; see the module docstring.
@@ -139,25 +131,14 @@ class FleetDispatcher:
             spec = specs[job.spec_json]
             if self.progress is not None:
                 self.progress.update(ok=outcome.ok)
+            journal_cell_outcome(
+                self.journal, job.job_id, spec, job.cap_per_socket_w, outcome
+            )
             if outcome.ok:
-                if self.journal is not None:
-                    self.journal.record_ok(
-                        job.job_id,
-                        job.cap_per_socket_w,
-                        cell_payload(spec, outcome.value),
-                        spec_hash=spec.spec_hash(),
-                        wall_s=round(outcome.elapsed_s, 6),
-                    )
                 self.queue.complete(job.job_id)
-                return
-            failed += 1
-            doc = outcome.failure_doc()
-            if self.journal is not None:
-                self.journal.record_failed(
-                    job.job_id, job.cap_per_socket_w, doc,
-                    spec_hash=spec.spec_hash(),
-                )
-            self.queue.fail(job.job_id, doc)
+            else:
+                failed += 1
+                self.queue.fail(job.job_id, outcome.failure_doc())
 
         if todo:
             runner = ParallelRunner(
@@ -167,7 +148,7 @@ class FleetDispatcher:
                 backoff_s=self.backoff_s,
                 backend=self.backend,
             )
-            runner.map_outcomes(_cell_job_task, items, on_outcome=on_outcome)
+            runner.map_outcomes(scenario_cell_task, items, on_outcome=on_outcome)
         set_gauge("queue.depth", self.queue.depth(), operational=True)
         return {
             "claimed": len(jobs),

@@ -51,27 +51,32 @@ def count_one(x):
 
 class TestMakeBackend:
     def test_registry_names(self):
-        assert isinstance(make_backend("inline"), InlineBackend)
         assert isinstance(make_backend("process"), ProcessPoolBackend)
         assert isinstance(make_backend("socket"), SocketWorkerBackend)
+        # The in-process transport is the runner's serial path, not a
+        # selectable backend: "inline" is the same as --workers 1.
+        with pytest.raises(ValueError, match="unknown exec backend"):
+            make_backend("inline")
 
     def test_unknown_name_is_an_error(self):
         with pytest.raises(ValueError, match="unknown exec backend"):
             make_backend("carrier-pigeon")
 
-    def test_only_inline_is_in_process(self):
-        assert InlineBackend.in_process
-        assert not ProcessPoolBackend.in_process
-        assert not SocketWorkerBackend.in_process
-
 
 class TestRunTask:
     def test_payload_shape_and_telemetry(self):
-        # No sinks named: the worker builds and ships nothing.
-        assert run_task(square, 3) == (9, None)
+        # No sinks named: the worker builds and ships nothing but the
+        # task's own run time.
+        value, snapshot, run_s = run_task(square, 3)
+        assert (value, snapshot) == (9, None)
+        assert run_s >= 0.0
+
+    def test_run_time_is_the_task_own(self):
+        _, _, run_s = run_task(sleepy, 0.05)
+        assert 0.05 <= run_s < 5.0
 
     def test_wanted_snapshots_come_back(self):
-        value, snapshot = run_task(square, 2, ("metrics", "profile"))
+        value, snapshot, _ = run_task(square, 2, ("metrics", "profile"))
         assert value == 4
         assert snapshot["version"] == OBSERVER_SCHEMA_VERSION
         assert set(snapshot) == {"version", "metrics", "profile"}
@@ -81,8 +86,8 @@ class TestRunTask:
         # into the sinks it was asked for.
         parent = Observer(metrics=Metrics())
         with use_observer(parent):
-            _, snapshot = run_task(count_one, 0, ("metrics",))
-            assert run_task(count_one, 0) == (0, None)
+            _, snapshot, _ = run_task(count_one, 0, ("metrics",))
+            assert run_task(count_one, 0)[:2] == (0, None)
         assert parent.metrics.counters == {}
         assert snapshot["metrics"]["counters"] == {"x": 1}
 
@@ -93,7 +98,7 @@ class TestInlineBackend:
         backend.start(4)
         handle = backend.submit(TaskSpec(index=0, fn=square, item=5))
         payload = backend.result(handle, timeout_s=None)
-        assert payload == (25, None)
+        assert payload[:2] == (25, None) and payload[2] >= 0.0
         assert backend.settled_at(handle) is None  # deadlines unenforced
         assert backend.result(handle, timeout_s=None) is payload  # settled
 
@@ -154,7 +159,7 @@ class TestProcessPoolBackend:
         backend.start(1)
         try:
             handle = backend.submit(TaskSpec(index=0, fn=square, item=3))
-            assert backend.result(handle, timeout_s=60.0) == (9, None)
+            assert backend.result(handle, timeout_s=60.0)[:2] == (9, None)
         finally:
             backend.shutdown()
 
@@ -204,8 +209,8 @@ class TestSocketWorkerBackend:
             observed = backend.submit(
                 TaskSpec(index=1, fn=count_one, item=5, sinks=("metrics",))
             )
-            assert backend.result(plain, timeout_s=60.0) == (9, None)
-            value, snapshot = backend.result(observed, timeout_s=60.0)
+            assert backend.result(plain, timeout_s=60.0)[:2] == (9, None)
+            value, snapshot, _ = backend.result(observed, timeout_s=60.0)
             assert value == 5
             assert snapshot["metrics"]["counters"] == {"x": 1}
             assert before <= backend.settled_at(plain) <= time.monotonic()

@@ -13,6 +13,7 @@ from repro.exec.parallel import (
     ParallelExecutionError,
     ParallelRunner,
     PoolBrokenError,
+    _run_batch,
     resolve_workers,
     retry_delay_s,
 )
@@ -45,6 +46,15 @@ def _boom_on_two(item: int) -> int:
     if item == 2:
         raise ValueError("boom 2")
     return item * 10
+
+
+def _boom_on_two_or_mark(marker_and_item: tuple[str, int]) -> int:
+    """Fails on item 2; every other item leaves a marker file."""
+    marker, item = marker_and_item
+    if item == 2:
+        raise ValueError("boom 2")
+    Path(marker).write_text("ran")
+    return item
 
 
 def _flaky(marker: str) -> str:
@@ -147,8 +157,72 @@ class TestSerialFallback:
         assert ParallelRunner(max_workers=4).map(_slow_identity, []) == []
 
     def test_serial_exception_propagates(self):
-        with pytest.raises(ValueError, match="boom"):
+        # Serial maps share the parallel failure semantics: the task's
+        # own exception arrives as the cause, after its retries.
+        with pytest.raises(ParallelExecutionError, match="failed on all 2") as err:
             ParallelRunner(max_workers=1).map(_boom, [7])
+        assert type(err.value.__cause__) is ValueError
+        assert str(err.value.__cause__) == "boom 7"
+
+
+class TestOneDispatchLoop:
+    def test_serial_maps_run_the_dispatch_loop_inline(self, monkeypatch):
+        seen: list[tuple[str, bool]] = []
+        original = ParallelRunner._map_parallel
+
+        def spy(self, fn, items, on_outcome=None, backend=None):
+            seen.append((type(backend).__name__, fn is _run_batch))
+            return original(self, fn, items, on_outcome, backend)
+
+        monkeypatch.setattr(ParallelRunner, "_map_parallel", spy)
+        # Closures are unpicklable: these can only have run in-process.
+        assert ParallelRunner(max_workers=1).map(lambda x: x + 1, [1, 2]) == [2, 3]
+        assert ParallelRunner(max_workers=4).map(lambda x: x + 1, [41]) == [42]
+        # Serial maps ignore batch_size: one task per item, no batches.
+        runner = ParallelRunner(max_workers=1, batch_size=3)
+        assert runner.map(lambda x: x * 2, [1, 2, 3, 4]) == [2, 4, 6, 8]
+        assert seen == [("InlineBackend", False)] * 3
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_exhausted_item_raises_after_every_item_settles(
+        self, max_workers, tmp_path
+    ):
+        markers = [str(tmp_path / f"m{i}") for i in range(3)]
+        runner = ParallelRunner(max_workers=max_workers, retries=0)
+        with pytest.raises(ParallelExecutionError) as err:
+            runner.map(_boom_on_two_or_mark, list(zip(markers, [1, 2, 3])))
+        assert str(err.value) == (
+            "task 1 failed on all 1 attempt(s): ValueError: boom 2"
+        )
+        assert type(err.value.__cause__) is ValueError
+        # The items after the failure still ran.
+        settled = [i for i, m in enumerate(markers) if Path(m).exists()]
+        assert settled == [0, 2]
+
+
+class TestElapsed:
+    """A cell's elapsed_s is its own run time, not its wait in line."""
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_fast_items_read_faster_than_the_slow_one(self, max_workers):
+        items = [0.0, 0.8, 0.0, 0.0, 0.0]
+        runner = ParallelRunner(max_workers=max_workers)
+        # The hook takes a while per cell, like an fsynced journal write:
+        # the fast cells behind the slow one finish early but are only
+        # collected after it.
+        outcomes = runner.map_outcomes(
+            _sleepy, items, on_outcome=lambda o: time.sleep(0.05)
+        )
+        slow = outcomes[1].elapsed_s
+        assert slow >= 0.8
+        for i in (0, 2, 3, 4):
+            assert outcomes[i].elapsed_s < slow, (i, outcomes[i].elapsed_s)
+
+    def test_batched_items_carry_their_own_time(self):
+        runner = ParallelRunner(max_workers=2, batch_size=2)
+        outcomes = runner.map_outcomes(_sleepy, [0.0, 0.6, 0.0, 0.0])
+        assert outcomes[1].elapsed_s >= 0.6
+        assert outcomes[0].elapsed_s < outcomes[1].elapsed_s
 
 
 class TestParallelMap:

@@ -112,6 +112,25 @@ class TestScenarioRuns:
         out = capsys.readouterr().out
         assert "% vs static" in out
 
+    def test_sweep_rejects_cap(self, capsys):
+        # sweep reads only --caps: a --cap would be silently ignored.
+        with pytest.raises(SystemExit):
+            main(["sweep", *self.QUICK, "--policies", "static,lp",
+                  "--cap", "50"])
+        assert "--caps" in capsys.readouterr().err
+
+    def test_run_rejects_caps(self, capsys):
+        # run reads only --cap: a --caps list would be silently ignored.
+        with pytest.raises(SystemExit):
+            main(["run", *self.QUICK, "--policies", "static,lp",
+                  "--caps", "40,60"])
+        assert "--cap" in capsys.readouterr().err
+
+    def test_inline_backend_is_not_a_choice(self):
+        # --workers 1 is the in-process path; there is no inline backend.
+        with pytest.raises(SystemExit):
+            main(["sweep", *self.QUICK, "--backend", "inline"])
+
     def test_run_unknown_policy_is_a_usage_error(self):
         with pytest.raises(SystemExit):
             main(["run", *self.QUICK, "--policies", "static,magic"])

@@ -47,6 +47,29 @@ class TestFigure8:
         text = fig.render()
         assert "Figure 8" in text and "agreement" in text
 
+    def test_runner_follows_the_ambient_options(self, monkeypatch):
+        # fig8 builds its runner the way every sweep does: transport,
+        # batch size, retries and backoff all come from the options.
+        from repro.exec.backends import SocketWorkerBackend
+        from repro.exec.options import execution_options
+        from repro.exec.parallel import ParallelRunner
+
+        seen = []
+
+        def fake_map(self, fn, items):
+            seen.append(self)
+            return [(1.0, 1.0)] * len(items)
+
+        monkeypatch.setattr(ParallelRunner, "map", fake_map)
+        with execution_options(workers=2, task_backend="socket",
+                               task_batch_size=3, task_retries=2,
+                               task_backoff_s=0.5):
+            figure8_flow_vs_fixed(n_caps=4)
+        (runner,) = seen
+        assert isinstance(runner.backend, SocketWorkerBackend)
+        assert (runner.max_workers, runner.batch_size) == (2, 3)
+        assert (runner.retries, runner.backoff_s) == (2, 0.5)
+
     def test_agreement_stats_on_synthetic_data(self):
         fig = Figure8Result(
             caps_w=[10.0, 20.0],

@@ -173,9 +173,15 @@ class TestHeterogeneousScenarioRuns:
     def test_lp_split_requires_heterogeneous_node(self):
         import pytest
 
+        from repro.exec.parallel import ParallelExecutionError
+
+        # The check runs inside the cell, so it surfaces as the cell's
+        # failure, with the original error as the cause.
         spec = _legacy_spec(policies=(PolicySpec("lp-split"),))
-        with pytest.raises(ValueError, match="heterogeneous node"):
+        with pytest.raises(ParallelExecutionError, match="heterogeneous node") as err:
             run_scenarios(spec)
+        assert type(err.value.__cause__) is ValueError
+        assert "heterogeneous node" in str(err.value.__cause__)
 
     def test_same_spec_different_node_changes_results(self):
         legacy = run_scenarios(_legacy_spec()).cells[0]

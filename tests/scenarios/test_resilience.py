@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.exec.checkpoint import SweepJournal
-from repro.exec.faults import FaultInjector, FaultSpec
+from repro.exec.faults import FaultInjector, FaultSpec, InjectedFault
 from repro.exec.parallel import ParallelExecutionError
 from repro.obs.metrics import Metrics
 from repro.obs.observer import Observer, use_observer
@@ -90,6 +92,73 @@ class TestKeepGoing:
         )
         assert times(parallel) == times(serial)
         assert parallel.failure_docs() == serial.failure_docs()
+
+
+def journal_lines(path) -> list[dict]:
+    """Journal records in write order, minus the wall-clock ``wall_s``."""
+    docs = [json.loads(line) for line in path.read_text().splitlines()]
+    for doc in docs:
+        doc.pop("wall_s", None)
+    return docs
+
+
+class TestOneFailureSemantics:
+    """Serial or parallel, journaled or not: a cell that fails every
+    attempt settles the same way, and keep_going only decides whether
+    the sweep raises at the end."""
+
+    def run(self, tmp_path, workers, journaled, keep_going):
+        path = tmp_path / f"j-{workers}-{keep_going}.jsonl" if journaled else None
+        try:
+            result = run_scenarios(
+                small_spec(), workers=workers, keep_going=keep_going,
+                journal=path, faults=mid_cap_fault(),
+            )
+        except ParallelExecutionError as exc:
+            result = exc
+        return result, journal_lines(path) if journaled else None
+
+    @pytest.mark.parametrize("journaled", [False, True])
+    def test_without_keep_going_the_same_error_on_every_path(
+        self, tmp_path, journaled
+    ):
+        errors, journals = [], []
+        for workers in (1, 2):
+            error, records = self.run(tmp_path, workers, journaled, False)
+            assert isinstance(error, ParallelExecutionError)
+            assert type(error.__cause__) is InjectedFault
+            assert str(error.__cause__) == "injected fault on cell cap=50"
+            errors.append(str(error))
+            journals.append(records)
+        assert errors == [
+            "cell cap=50 InjectedFault on all 2 attempt(s): "
+            "injected fault on cell cap=50"
+        ] * 2
+        assert journals[0] == journals[1]
+        if journaled:
+            assert [d["status"] for d in journals[0]] == ["ok", "failed", "ok"]
+
+    @pytest.mark.parametrize("journaled", [False, True])
+    def test_with_keep_going_the_same_failure_on_every_path(
+        self, tmp_path, journaled
+    ):
+        runs = [self.run(tmp_path, w, journaled, True) for w in (1, 2)]
+        docs = [result.failure_docs() for result, _ in runs]
+        assert docs[0] == docs[1] == [{
+            "cap_per_socket_w": 50.0,
+            "error_type": "InjectedFault",
+            "error_message": "injected fault on cell cap=50",
+            "attempts": 2,
+        }]
+        assert times(runs[0][0]) == times(runs[1][0])
+        assert runs[0][1] == runs[1][1]
+        if journaled:
+            (failed,) = [d for d in runs[0][1] if d["status"] == "failed"]
+            assert failed["failure"] == {
+                "error_type": "InjectedFault",
+                "error_message": "injected fault on cell cap=50",
+                "attempts": 2,
+            }
 
 
 class TestJournalResume:

@@ -103,6 +103,25 @@ class TestNWaySmoke:
         with pytest.raises(KeyError, match="registered"):
             run_scenarios(spec)
 
+    @pytest.mark.parametrize("policy, error, match", [
+        (PolicySpec("magic"), KeyError, "registered"),
+        (PolicySpec("conductor", config={"bogus": 1}), ValueError,
+         "unknown config keys"),
+    ])
+    def test_spec_errors_fail_fast_on_a_pool(
+        self, monkeypatch, policy, error, match
+    ):
+        # A spec error is the caller's, not a cell's: it must be raised
+        # raw before any worker starts, never retried per cell.
+        from repro.exec.backends.pool import ProcessPoolBackend
+
+        def no_workers(self, n_workers):
+            raise AssertionError("workers started for an invalid spec")
+
+        monkeypatch.setattr(ProcessPoolBackend, "start", no_workers)
+        with pytest.raises(error, match=match):
+            run_scenarios(small_spec(policies=(policy,)), workers=2)
+
     def test_trace_scopes_per_policy_instance(self):
         rec = TraceRecorder()
         spec = small_spec(caps=(40.0,))
